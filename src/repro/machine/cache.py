@@ -14,18 +14,58 @@ per probe; at the access counts our benchmarks reach the dict design is
 ~4x faster end to end (see docs/ARCHITECTURE.md, "Performance
 engineering").
 
+Deferred pollution
+------------------
+``install_many`` (the stress model's LLC pollution: tens of millions of
+lines per loaded figure) does not walk the sets.  It advances ``_tick``
+as an install loop would and appends each line, with the tick it would
+have received, to a pending log.  A line only ever interacts with its
+own set, so a set's pending lines can be applied ("settled") at any
+time before that set is next read or written — in tick order — and the
+result is exactly the state the install loop would have left.  Hence:
+
+* every method here settles the set it touches, and the whole-cache
+  reads (``evictions``, ``occupancy``, ``snapshot``, ``flush_all``)
+  settle everything; ``restore`` drops the log;
+* code that reaches into ``_map``/``tags``/``lru``/``dirty`` directly
+  (the hierarchy's inlined LLC paths) must call :meth:`settle_set` or
+  :meth:`settle_span` first;
+* deferral is exact only for clean sets, because evicting a dirty line
+  charges a DRAM write-back at the moment it happens.  ``_dirty_sets``
+  flags every set that may hold a dirty line; pollution lines of those
+  sets are installed at once.  ``install``/``access`` keep the flags, and
+  so must any direct writer of a dirty bit (the hierarchy's stash DMA,
+  through :meth:`mark_dirty_span`).
+
 Addresses are node-physical.  The cache works in units of *lines*
 (``line_addr = addr >> 6`` for 64-byte lines).
 """
 
 from __future__ import annotations
 
+from collections import deque
+from itertools import chain
+from operator import setitem
 from typing import Optional
+
+import numpy as np
 
 from ..errors import MachineError
 
 LINE_SHIFT = 6
 LINE_BYTES = 1 << LINE_SHIFT
+
+#: Pending lines a cache holds before it applies them all at once; bounds
+#: the log's memory (20 bytes a line) on long loaded runs.
+PENDING_CAP = 1 << 16
+#: Below this many lines a multi-set settle applies them one at a time;
+#: from it up, vectorized over sets, at most ``SETTLE_CHUNK`` sets per
+#: step.  The step trades time for peak memory (each step's temporaries
+#: and written-back ints are live at once): on a 46k-line settle of an
+#: 8 MB LLC, 128/512/2048 sets a step took 94/72/70 ms, and two loaded
+#: perfbench rounds peaked ~1.5/~3/~5 MB above eager installs.
+BULK_MIN = 64
+SETTLE_CHUNK = 512
 
 
 def line_of(addr: int) -> int:
@@ -37,6 +77,101 @@ def lines_touched(addr: int, size: int) -> range:
     if size <= 0:
         return range(0)
     return range(addr >> LINE_SHIFT, (addr + size - 1 >> LINE_SHIFT) + 1)
+
+
+class _PendingLog:
+    """Lines ``install_many`` deferred, each with the tick it would have
+    received.  Entries are chained per set in tick order (``head[s]`` ->
+    ``nxt`` -> ... -> -1; ``tail[s]`` is the last), so one set's lines are
+    found without scanning the log.  Chaining is itself deferred to the
+    first lookup after an append, then vectorized over every entry
+    appended since.  Taking a set's lines unlinks them; the entries are
+    reclaimed when the cache drops the whole log."""
+
+    __slots__ = ("mask", "lines", "ticks", "nxt", "head", "tail", "flags",
+                 "n", "linked")
+
+    def __init__(self, sets: int, flags: bytearray):
+        self.mask = sets - 1
+        self.lines = np.empty(PENDING_CAP, np.int64)
+        self.ticks = np.empty(PENDING_CAP, np.int64)
+        self.nxt = np.empty(PENDING_CAP, np.int32)
+        self.head = np.full(sets, -1, np.int32)
+        self.tail = np.full(sets, -1, np.int32)
+        self.flags = np.frombuffer(flags, np.uint8)   # cache._pending view
+        self.n = 0
+        self.linked = 0
+
+    def append(self, lines, ticks, sets) -> None:
+        n = self.n
+        m = n + len(lines)
+        self.lines[n:m] = lines
+        self.ticks[n:m] = ticks
+        self.flags[sets] = 1
+        self.n = m
+
+    def _link(self) -> None:
+        i0 = self.linked
+        n = self.n
+        sets = self.lines[i0:n] & self.mask
+        order = np.argsort(sets, kind="stable")
+        sets = sets[order]
+        idx = order + i0
+        first = np.empty(len(sets), bool)
+        first[0] = True
+        np.not_equal(sets[1:], sets[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        ends = np.empty_like(starts)
+        ends[:-1] = starts[1:] - 1
+        ends[-1] = len(sets) - 1
+        nxt = self.nxt
+        nxt[idx[:-1]] = idx[1:]
+        nxt[idx[ends]] = -1
+        group = sets[starts]
+        gfirst = idx[starts]
+        prev = self.tail[group]
+        cont = prev >= 0
+        nxt[prev[cont]] = gfirst[cont]
+        fresh = ~cont
+        self.head[group[fresh]] = gfirst[fresh]
+        self.tail[group] = idx[ends]
+        self.linked = n
+
+    def take_set(self, sidx: int) -> list[int]:
+        """Unlink set ``sidx``'s pending lines; their log indices in tick
+        order."""
+        if self.linked != self.n:
+            self._link()
+        head = self.head
+        i = head.item(sidx)
+        head[sidx] = -1
+        self.tail[sidx] = -1
+        nxt = self.nxt
+        out = []
+        while i >= 0:
+            out.append(i)
+            i = nxt.item(i)
+        return out
+
+    def take_rounds(self, sets) -> list:
+        """Unlink the pending lines of ``sets`` (distinct indices of sets
+        with pending lines) and return them walked in lockstep: round r
+        is (positions in ``sets``, log indices) of each set's r-th line."""
+        if self.linked != self.n:
+            self._link()
+        cur = self.head[sets].astype(np.intp)
+        self.head[sets] = -1
+        self.tail[sets] = -1
+        self.flags[sets] = 0
+        pos = np.arange(len(sets))
+        rounds = []
+        while len(cur):
+            rounds.append((pos, cur))
+            step = self.nxt[cur]
+            more = step >= 0
+            pos = pos[more]
+            cur = step[more].astype(np.intp)
+        return rounds
 
 
 class SetAssocCache:
@@ -54,7 +189,8 @@ class SetAssocCache:
 
     __slots__ = (
         "name", "size_bytes", "ways", "sets", "_set_mask", "_map",
-        "tags", "lru", "dirty", "_tick", "hits", "misses", "evictions",
+        "tags", "lru", "dirty", "_tick", "hits", "misses", "_evictions",
+        "_npend", "_pending", "_log", "_dirty_sets",
     )
 
     def __init__(self, name: str, size_bytes: int, ways: int):
@@ -82,12 +218,169 @@ class SetAssocCache:
         self._tick = 0
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
+        self._evictions = 0
+        # Deferred pollution (module docstring).  ``_npend`` is the log
+        # length (0: nothing pending anywhere, the one test every settle
+        # site pays), ``_pending[s]`` is 1 while set s has pending lines;
+        # both it and ``_log`` are created by the first install_many (most
+        # caches never receive one).  ``_dirty_sets`` is built from the
+        # dirty rows when install_many first needs it (None until then,
+        # and again after restore/flush_all).
+        self._npend = 0
+        self._pending: Optional[bytearray] = None
+        self._log: Optional[_PendingLog] = None
+        self._dirty_sets: Optional[bytearray] = None
+
+    # -- deferred pollution -------------------------------------------------
+
+    def settle_set(self, sidx: int) -> None:
+        """Apply set ``sidx``'s pending lines.  Callers test
+        ``_npend and _pending[sidx]`` first (the cheap common case)."""
+        self._pending[sidx] = 0
+        log = self._log
+        lines = log.lines
+        ticks = log.ticks
+        for i in log.take_set(sidx):
+            self._install_at(lines.item(i), ticks.item(i), False)
+
+    def settle_span(self, first: int, nlines: int) -> None:
+        """Settle every set that lines ``first .. first+nlines-1`` map to."""
+        if not self._npend:
+            return
+        pending = self._pending
+        mask = self._set_mask
+        if nlines <= 8:
+            for line in range(first, first + nlines):
+                if pending[line & mask]:
+                    self.settle_set(line & mask)
+            return
+        flags = self._log.flags
+        lo = first & mask
+        hi = lo + nlines
+        if nlines >= self.sets:
+            hot = np.flatnonzero(flags)
+        elif hi <= self.sets:
+            hot = np.flatnonzero(flags[lo:hi]) + lo
+        else:
+            hot = np.concatenate((np.flatnonzero(flags[lo:]) + lo,
+                                  np.flatnonzero(flags[:hi - self.sets])))
+        self._settle_sets(hot)
+
+    def settle(self) -> None:
+        """Apply every pending line."""
+        if self._npend:
+            self._settle_sets(np.flatnonzero(self._log.flags))
+            self._drop_log()
+
+    def _drop_log(self) -> None:
+        # The arrays are freed, not kept for reuse: a settled or restored
+        # cache holds no log memory.
+        self._log.flags.fill(0)
+        self._log = None
+        self._npend = 0
+
+    def _settle_sets(self, sets) -> None:
+        """Apply the pending lines of ``sets`` (distinct set indices), a
+        bounded chunk of sets at a time so the temporaries stay small."""
+        for lo in range(0, len(sets), SETTLE_CHUNK):
+            self._settle_chunk(sets[lo:lo + SETTLE_CHUNK])
+
+    def _settle_chunk(self, sets) -> None:
+        log = self._log
+        rounds = log.take_rounds(sets)
+        lines = log.lines
+        ticks = log.ticks
+        if sum(len(idx) for _, idx in rounds) < BULK_MIN:
+            # Sets are independent, so round order (each set's lines in
+            # tick order) is an exact application order.
+            put = self._install_at
+            for _, idx in rounds:
+                for i in idx.tolist():
+                    put(lines.item(i), ticks.item(i), False)
+            return
+        # Vectorized over sets: load the sets' rows into two matrices and
+        # replay the rounds.  A set appears at most once per round, so
+        # the install decision (hit -> refresh, else first invalid way,
+        # else the LRU way) is an independent row of one vector step.
+        # Every pending set is clean: nothing here touches dirty bits.
+        touched = sets.tolist()
+        w = self.ways
+        tags = self.tags
+        lru = self.lru
+        dirty = self.dirty
+        for s in touched:
+            if s not in tags:
+                tags[s] = [-1] * w
+                lru[s] = [0] * w
+                dirty[s] = [False] * w
+        tag_rows = [tags[s] for s in touched]
+        lru_rows = [lru[s] for s in touched]
+        size = len(touched) * w
+        tag_m = np.fromiter(chain.from_iterable(tag_rows), np.int64,
+                            size).reshape(-1, w)
+        lru_m = np.fromiter(chain.from_iterable(lru_rows), np.int64,
+                            size).reshape(-1, w)
+        tag_0 = tag_m.copy()
+        lru_0 = lru_m.copy()
+        evictions = 0
+        for g, idx in rounds:
+            x = lines[idx]
+            rows = tag_m[g]
+            hit = rows == x[:, None]
+            is_hit = hit.any(1)
+            free = rows == -1
+            has_free = free.any(1)
+            way = np.where(is_hit, hit.argmax(1),
+                           np.where(has_free, free.argmax(1),
+                                    lru_m[g].argmin(1)))
+            evictions += len(idx) - int(np.count_nonzero(is_hit | has_free))
+            tag_m[g, way] = x
+            lru_m[g, way] = ticks[idx]
+        # Write the changed ways back into the rows in place, and move
+        # their map entries: every drop first, so a line that changed way
+        # ends right, and each added key is its row's own int object.
+        # C-level map() loops: these run once per changed way.
+        mp = self._map
+        gi, wi = np.nonzero(tag_m != tag_0)
+        gone = tag_0[gi, wi]
+        deque(map(mp.__delitem__, gone[gone >= 0].tolist()), 0)
+        added = tag_m[gi, wi].tolist()
+        ways = wi.tolist()
+        deque(map(setitem, [tag_rows[g] for g in gi.tolist()], ways, added),
+              0)
+        mp.update(zip(added, ways))
+        gi, wi = np.nonzero(lru_m != lru_0)
+        deque(map(setitem, [lru_rows[g] for g in gi.tolist()], wi.tolist(),
+                  lru_m[gi, wi].tolist()), 0)
+        self._evictions += evictions
+
+    def mark_dirty_span(self, first: int, nlines: int) -> None:
+        """Flag the sets of lines ``first .. first+nlines-1`` as possibly
+        dirty; for writers that set dirty bits directly (stash DMA)."""
+        flags = self._dirty_sets
+        if flags is None or nlines <= 0:
+            return
+        lo = first & self._set_mask
+        hi = lo + min(nlines, self.sets)
+        if hi <= self.sets:
+            flags[lo:hi] = b"\x01" * (hi - lo)
+        else:
+            flags[lo:] = b"\x01" * (self.sets - lo)
+            flags[:hi - self.sets] = b"\x01" * (hi - self.sets)
+
+    def _scan_dirty(self) -> bytearray:
+        flags = bytearray(self.sets)
+        for s, row in self.dirty.items():
+            if True in row:
+                flags[s] = 1
+        return flags
 
     # -- operations ---------------------------------------------------------
 
     def probe(self, line_addr: int) -> bool:
         """Presence test with no LRU side effects (used by DMA snoop)."""
+        if self._npend and self._pending[line_addr & self._set_mask]:
+            self.settle_set(line_addr & self._set_mask)
         return line_addr in self._map
 
     def access(self, line_addr: int, write: bool = False) -> bool:
@@ -96,6 +389,8 @@ class SetAssocCache:
         Returns True on hit.  Misses do NOT allocate — callers decide
         whether to ``install`` after fetching from the next level.
         """
+        if self._npend and self._pending[line_addr & self._set_mask]:
+            self.settle_set(line_addr & self._set_mask)
         way = self._map.get(line_addr)
         if way is None:
             self.misses += 1
@@ -106,6 +401,8 @@ class SetAssocCache:
         self.lru[sidx][way] = self._tick
         if write:
             self.dirty[sidx][way] = True
+            if self._dirty_sets is not None:
+                self._dirty_sets[sidx] = 1
         return True
 
     def install(self, line_addr: int, dirty: bool = False
@@ -115,7 +412,17 @@ class SetAssocCache:
         Returns (evicted_line_addr, evicted_dirty) or None.  Installing a
         line already present just refreshes it.
         """
+        sidx = line_addr & self._set_mask
+        if self._npend and self._pending[sidx]:
+            self.settle_set(sidx)
+        if dirty and self._dirty_sets is not None:
+            self._dirty_sets[sidx] = 1
         self._tick = tick = self._tick + 1
+        return self._install_at(line_addr, tick, dirty)
+
+    def _install_at(self, line_addr: int, tick: int, dirty: bool
+                    ) -> Optional[tuple[int, bool]]:
+        """``install`` at a given tick, with the set already settled."""
         sidx = line_addr & self._set_mask
         way = self._map.get(line_addr)
         if way is not None:
@@ -140,7 +447,7 @@ class SetAssocCache:
             old_line = row[way]
             evicted = (old_line, self.dirty[sidx][way])
             del self._map[old_line]
-            self.evictions += 1
+            self._evictions += 1
         row[way] = line_addr
         self._map[line_addr] = way
         self.lru[sidx][way] = tick
@@ -150,66 +457,57 @@ class SetAssocCache:
     def install_many(self, line_addrs) -> int:
         """Bulk clean-fill; returns the count of dirty lines evicted.
 
-        Semantically identical to calling :meth:`install` once per element
-        with ``dirty=False`` — same tick sequence, same eviction decisions —
-        but with the per-call attribute lookups hoisted.  Exists for the
-        stress workload's LLC-pollution loop, which installs tens of
-        millions of lines per noise-heavy figure.
+        Observably identical to calling :meth:`install` once per element
+        with ``dirty=False`` — same ticks, same eviction decisions — but
+        lines of sets that cannot hold a dirty line are only logged, and
+        applied when their set is next observed (module docstring).
+        Lines of the other sets are installed now, so the dirty-eviction
+        count is returned at the call that causes it.  Exists for the
+        stress workload's LLC pollution.
         """
-        tick = self._tick
-        mask = self._set_mask
-        mp = self._map
-        mget = mp.get
-        tags = self.tags
-        tget = tags.get
-        lru = self.lru
-        dirty = self.dirty
-        ways = self.ways
-        evictions = 0
+        lines = np.asarray(line_addrs, dtype=np.int64)
+        k = len(lines)
+        if not k:
+            return 0
+        if k > PENDING_CAP:    # more than a log holds: log it in pieces
+            return sum(self.install_many(lines[lo:lo + PENDING_CAP])
+                       for lo in range(0, k, PENDING_CAP))
+        tick0 = self._tick
+        self._tick = tick0 + k
+        sets = lines & self._set_mask
+        ticks = np.arange(tick0 + 1, tick0 + k + 1)
         ndirty = 0
-        # Steady state for a polluted cache: every allocated set is full,
-        # so the invalid-way scan below cannot find anything — skip it.
-        # Allocating a fresh set re-arms the scan; a stale False is safe
-        # (it just falls back to the scan), a stale True is impossible
-        # (evictions keep occupancy constant, fills only grow it).
-        full = len(mp) == len(tags) * ways
-        for line_addr in line_addrs:
-            tick += 1
-            way = mget(line_addr)
-            if way is not None:
-                lru[line_addr & mask][way] = tick
-                continue
-            sidx = line_addr & mask
-            row = tget(sidx)
-            if row is None:
-                row = tags[sidx] = [-1] * ways
-                lrow = lru[sidx] = [0] * ways
-                dirty[sidx] = [False] * ways
-                way = 0
-                full = False
-            elif full or -1 not in row:
-                lrow = lru[sidx]
-                way = lrow.index(min(lrow))
-                drow = dirty[sidx]
-                if drow[way]:
-                    ndirty += 1
-                    drow[way] = False
-                del mp[row[way]]
-                evictions += 1
-            else:
-                # Invalid ways carry dirty=False (invalidate and snoop
-                # reset it), so only the eviction path must clear it.
-                way = row.index(-1)
-                lrow = lru[sidx]
-            row[way] = line_addr
-            mp[line_addr] = way
-            lrow[way] = tick
-        self._tick = tick
-        self.evictions += evictions
+        dirty_sets = self._dirty_sets
+        if dirty_sets is None:
+            dirty_sets = self._dirty_sets = self._scan_dirty()
+        if dirty_sets.find(1) >= 0:
+            now = np.frombuffer(dirty_sets, np.uint8)[sets].astype(bool)
+            if now.any():
+                for j in np.flatnonzero(now).tolist():
+                    ev = self._install_at(lines.item(j), tick0 + j + 1, False)
+                    if ev is not None and ev[1]:
+                        ndirty += 1
+                later = ~now
+                lines = lines[later]
+                if not len(lines):
+                    return ndirty
+                sets = sets[later]
+                ticks = ticks[later]
+        if self._npend + len(lines) > PENDING_CAP:
+            self.settle()
+        log = self._log
+        if log is None:
+            if self._pending is None:
+                self._pending = bytearray(self.sets)
+            log = self._log = _PendingLog(self.sets, self._pending)
+        log.append(lines, ticks, sets)
+        self._npend = log.n
         return ndirty
 
     def invalidate(self, line_addr: int) -> bool:
         """Drop a line if present; returns whether it was dirty."""
+        if self._npend and self._pending[line_addr & self._set_mask]:
+            self.settle_set(line_addr & self._set_mask)
         way = self._map.pop(line_addr, None)
         if way is None:
             return False
@@ -222,25 +520,30 @@ class SetAssocCache:
 
     def flush_all(self) -> int:
         """Invalidate everything; returns count of dirty lines dropped."""
+        self.settle()
         ndirty = sum(row.count(True) for row in self.dirty.values())
         self.tags.clear()
         self.dirty.clear()
         self.lru.clear()
         self._map.clear()
+        self._dirty_sets = None
         return ndirty
 
     def snapshot(self) -> tuple:
         """Full replacement-state capture (tags/LRU/dirty/stats)."""
+        self.settle()
         return (
             {s: row[:] for s, row in self.tags.items()},
             {s: row[:] for s, row in self.lru.items()},
             {s: row[:] for s, row in self.dirty.items()},
             dict(self._map),
-            self._tick, self.hits, self.misses, self.evictions,
+            self._tick, self.hits, self.misses, self._evictions,
         )
 
     def restore(self, snap: tuple) -> None:
         tags, lru, dirty, amap, tick, hits, misses, evictions = snap
+        if self._log is not None:
+            self._drop_log()
         self.tags = {s: row[:] for s, row in tags.items()}
         self.lru = {s: row[:] for s, row in lru.items()}
         self.dirty = {s: row[:] for s, row in dirty.items()}
@@ -248,10 +551,17 @@ class SetAssocCache:
         self._tick = tick
         self.hits = hits
         self.misses = misses
-        self.evictions = evictions
+        self._evictions = evictions
+        self._dirty_sets = None
+
+    @property
+    def evictions(self) -> int:
+        self.settle()
+        return self._evictions
 
     @property
     def occupancy(self) -> int:
+        self.settle()
         return len(self._map)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -141,6 +141,9 @@ class MemoryHierarchy:
         time, in eviction order, so the DRAM ledger floats match the
         per-call formulation exactly.
         """
+        llc = self.llc
+        if llc._npend and llc._pending[line & llc._set_mask]:
+            llc.settle_set(line & llc._set_mask)
         charge = self.dram.charge_bandwidth
         # L1 leg: the only level that can install dirty.  Invalid ways
         # always carry dirty=False (invalidate/snoop reset it), so the
@@ -175,7 +178,7 @@ class MemoryHierarchy:
                     charge(now, 1)
                     drow[way] = False
                 del m[row[way]]
-                l1.evictions += 1
+                l1._evictions += 1
             row[way] = line
             m[line] = way
             lrow[way] = tick
@@ -210,7 +213,7 @@ class MemoryHierarchy:
                     charge(now, 1)
                     drow[way] = False
                 del m[row[way]]
-                cache.evictions += 1
+                cache._evictions += 1
             row[way] = line
             m[line] = way
             lrow[way] = tick
@@ -319,6 +322,8 @@ class MemoryHierarchy:
             return cfg.l2_lat + (cfg.l3_lat - cfg.l2_lat)
         l3.misses += 1
         llc = self.llc
+        if llc._npend and llc._pending[line & llc._set_mask]:
+            llc.settle_set(line & llc._set_mask)
         way = llc._map.get(line)
         if way is not None:
             llc.hits += 1
@@ -386,7 +391,12 @@ class MemoryHierarchy:
         # L1 on nearly every line) with the tick and the hit/probe
         # counters batched in locals; both are flushed before any miss
         # takes the full `_stream_line` walk, which reads and bumps the
-        # same state.
+        # same state.  The first miss also settles the LLC's pending
+        # pollution over the rest of the span, once: `_stream_line`
+        # relies on it.
+        llc = self.llc
+        unsettled = llc._npend
+        span = lines_touched(addr, size)
         l1 = self.l1d[core]
         m = l1._map
         lru = l1.lru
@@ -398,7 +408,7 @@ class MemoryHierarchy:
         tick = l1._tick
         pend = 0
         mem_total = 0.0
-        for line in lines_touched(addr, size):
+        for line in span:
             way = m.get(line)
             if way is not None:
                 pend += 1
@@ -413,6 +423,9 @@ class MemoryHierarchy:
                 l1.hits += pend
                 _C.cache_probes += pend
                 pend = 0
+            if unsettled:
+                llc.settle_span(line, span.stop - line)
+                unsettled = 0
             l1._tick = tick
             mem_total += stream_line(now + mem_total, core, line, kind)
             tick = l1._tick  # the fill walk bumped it
@@ -424,6 +437,8 @@ class MemoryHierarchy:
         return max(mem_total, cpu_total)
 
     def _stream_line(self, now: float, core: int, line: int, kind: str) -> float:
+        # Only stream_cost calls this, after settling the LLC over the
+        # rest of its span.
         _C.cache_probes += 1
         write = kind == "write"
         l1 = self.l1d[core]
@@ -494,12 +509,17 @@ class MemoryHierarchy:
         """
         lines = list(lines_touched(addr, size))
         self._snoop_invalidate(lines, owner_core)
+        llc = self.llc
+        if llc._npend:
+            llc.settle_span(addr >> 6, len(lines))
         if self.cfg.stash_enabled:
             self.dma_stash_lines += len(lines)
             # Inline SetAssocCache.install for the LLC fill loop (every
             # payload line passes through here when stashing is on);
             # dirty evictions charge the DRAM ledger exactly as before.
-            llc = self.llc
+            # The span's sets now may hold dirty lines: flag them, so
+            # later pollution of those sets is installed, not deferred.
+            llc.mark_dirty_span(addr >> 6, len(lines))
             m, tags, lru, dirty = llc._map, llc.tags, llc.lru, llc.dirty
             mget = m.get
             tget = tags.get
@@ -543,16 +563,16 @@ class MemoryHierarchy:
                 lrow[way] = tick
                 dirty[sidx][way] = True
             llc._tick = tick
-            llc.evictions += evictions
+            llc._evictions += evictions
             # LLC fill crosses the NOC at interconnect speed: ~64B/cycle at
             # 1.6 GHz -> 0.625ns/line; generous but the NOC is not the
             # bottleneck in this system.
             return len(lines) * 0.625
         self.dma_dram_lines += len(lines)
-        llc_map = self.llc._map
+        llc_map = llc._map
         for line in lines:
             if line in llc_map:
-                self.llc.invalidate(line)
+                llc.invalidate(line)
         q = self.dram.charge_bandwidth(now, len(lines))
         return len(lines) * self.dram.service_per_line_ns + q
 
@@ -561,6 +581,8 @@ class MemoryHierarchy:
         """Outbound DMA (memory -> HCA): source lines are read from LLC if
         present, else from DRAM; returns occupancy ns for pacing."""
         lines = list(lines_touched(addr, size))
+        if self.llc._npend:
+            self.llc.settle_span(addr >> 6, len(lines))
         # C-level residency count: map() over the dict's __contains__
         # beats a genexpr of probe() calls on these multi-hundred-line
         # payload spans

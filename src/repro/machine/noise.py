@@ -9,7 +9,8 @@ Three effects matter for the measured tails and are modeled here:
    into the DRAM ledger at a configurable duty cycle with jitter.
 2. **LLC pollution** — the workers' footprints evict resident lines,
    including stashed message lines if the consumer is slow.  Modeled by
-   installing random lines into the LLC every tick.
+   installing random lines into the LLC every tick (applied lazily per
+   cache set, see :mod:`.cache`).
 3. **Scheduler preemption** — benchmark threads occasionally lose the
    CPU; off-CPU episodes are heavy-tailed (lognormal).  This is the main
    source of the 99.9th-percentile spikes for *both* configurations, while
@@ -45,7 +46,9 @@ class StressConfig:
 
 class StressWorkload:
     """Background load on one node.  ``start`` spawns the driver process;
-    ``stop`` lets the current tick finish and halts."""
+    ``stop`` lets the current tick finish and halts.  Each ``start`` gets
+    a fresh generation, so a tick process parked in its delay when
+    ``stop``/``start`` run exits instead of running beside the new one."""
 
     def __init__(self, engine: Engine, node: Node, rngs: RngPool,
                  cfg: StressConfig | None = None, cores: tuple[int, ...] = (0, 1, 2, 3)):
@@ -55,6 +58,7 @@ class StressWorkload:
         self.cores = tuple(c for c in cores if c < node.ncores)
         self.rng = rngs.child(f"stress.n{node.node_id}")
         self._running = False
+        self._generation = 0
         self.ticks = 0
         self.preemptions = 0
 
@@ -62,20 +66,24 @@ class StressWorkload:
         if self._running:
             return
         self._running = True
-        self.engine.spawn(self._run(), name=f"stress.n{self.node.node_id}")
+        self._generation += 1
+        self.engine.spawn(self._run(self._generation),
+                          name=f"stress.n{self.node.node_id}")
 
     def stop(self) -> None:
         self._running = False
 
-    def _run(self):
+    def _run(self, generation: int):
         # fig11/fig12 run this body millions of times, so every per-tick
-        # attribute lookup is hoisted and the LLC pollution goes through
-        # the bulk install_many / charge_bandwidth_bulk paths.  The RNG
-        # draw order and every float
-        # expression are unchanged, so results stay byte-identical: LLC
-        # installs never read DRAM state and charge_bandwidth never reads
-        # LLC state, so batching the dirty-eviction charges after the
-        # install loop (same ``now``) is invisible to the model.
+        # attribute lookup is hoisted.  The tick's pollution lines go to
+        # the LLC as one array: install_many logs them (each with the LRU
+        # tick it would have got) and only installs, now, the lines of
+        # sets that may hold dirty data, returning how many dirty lines
+        # those evicted; the rest are applied when their set is next
+        # observed.  The write-back charge for those k lines is one
+        # charge_bandwidth_bulk at this tick's ``now``, as k per-line
+        # charges would be (LLC installs never read DRAM state and the
+        # DRAM ledger never reads LLC state).
         cfg = self.cfg
         node = self.node
         rng = self.rng
@@ -100,7 +108,7 @@ class StressWorkload:
         cores = self.cores
         delay = Delay(tk)
         llc_span_lines = node.mem.size >> 6
-        while self._running:
+        while self._running and self._generation == generation:
             now = engine.now
             self.ticks += 1
             # (1) channel contention
@@ -110,7 +118,7 @@ class StressWorkload:
                 inject(now, bns)
             # (2) LLC pollution
             if npoll:
-                k = install_many(rint(0, llc_span_lines, npoll).tolist())
+                k = install_many(rint(0, llc_span_lines, npoll))
                 if k:
                     charge_bulk(now, k)
             # (3) preemption

@@ -1,11 +1,15 @@
 """Unit + property tests for the set-associative cache and DRAM ledger."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import MachineError
-from repro.machine import Dram, SetAssocCache, lines_touched
+from repro.machine import Dram, SetAssocCache, cache as cache_mod, lines_touched
+
+from .util import EagerCache
 
 
 class TestSetAssocCache:
@@ -124,6 +128,107 @@ class TestSetAssocCache:
                 ndirty += 1
         assert b.install_many(bulk) == ndirty
         assert b.snapshot() == a.snapshot()
+
+
+_LINE = st.integers(0, 255)   # 16 candidate lines per set of a 16-set cache
+_CACHE_OPS = st.one_of(
+    st.tuples(st.just("pollute"), st.lists(_LINE, min_size=1, max_size=120)),
+    st.tuples(st.just("access"), _LINE, st.booleans()),
+    st.tuples(st.just("install"), _LINE, st.booleans()),
+    st.tuples(st.just("stash"), _LINE, st.integers(1, 24)),
+    st.tuples(st.just("span"), _LINE, st.integers(1, 40)),
+    st.tuples(st.just("invalidate"), _LINE),
+    st.tuples(st.just("probe"), _LINE),
+    st.tuples(st.just("evictions")),
+    st.tuples(st.just("occupancy")),
+    st.tuples(st.just("snapshot")),
+    st.tuples(st.just("restore")),
+    st.tuples(st.just("flush")),
+)
+# (PENDING_CAP, BULK_MIN, SETTLE_CHUNK): the shipped values, and small ones
+# that push every settle path (bulk, chunked, over the cap) into reach.
+_KNOBS = st.sampled_from([(cache_mod.PENDING_CAP, cache_mod.BULK_MIN,
+                           cache_mod.SETTLE_CHUNK),
+                          (40, 2, 3), (200, 8, 5)])
+
+
+def _drive(c, op, saved):
+    kind = op[0]
+    if kind == "pollute":
+        return c.install_many(op[1])
+    if kind == "access":
+        return c.access(op[1], write=op[2])
+    if kind == "install":
+        return c.install(op[1], dirty=op[2])
+    if kind == "stash":   # a DMA-style run of dirty fills
+        return [c.install(line, dirty=True)
+                for line in range(op[1], op[1] + op[2])]
+    if kind == "span":
+        return c.settle_span(op[1], op[2])
+    if kind == "invalidate":
+        return c.invalidate(op[1])
+    if kind == "probe":
+        return c.probe(op[1])
+    if kind == "evictions":
+        return c.evictions
+    if kind == "occupancy":
+        return c.occupancy
+    if kind == "snapshot":
+        saved[id(c)] = snap = c.snapshot()
+        return snap
+    if kind == "restore":
+        if id(c) in saved:
+            c.restore(saved[id(c)])
+        return None
+    return c.flush_all()
+
+
+class TestDeferredPollution:
+    """``install_many`` only logs clean-set lines; every observation
+    settles first.  Whatever the interleaving, each call must return what
+    the eager install loop returns, and the settled state must equal the
+    eager state field for field."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ops=st.lists(_CACHE_OPS, min_size=1, max_size=40), knobs=_KNOBS)
+    def test_property_lazy_equals_eager(self, ops, knobs):
+        cap, bulk_min, chunk = knobs
+        with mock.patch.multiple(cache_mod, PENDING_CAP=cap,
+                                 BULK_MIN=bulk_min, SETTLE_CHUNK=chunk):
+            lazy = SetAssocCache("lazy", 4096, 4)
+            eager = EagerCache("eager", 4096, 4)
+            saved: dict = {}
+            for op in ops:
+                assert _drive(lazy, op, saved) == _drive(eager, op, saved), op
+            assert lazy.snapshot() == eager.snapshot()
+            assert lazy._npend == 0 and lazy._log is None
+
+    def test_pending_lines_wait_for_an_observer(self):
+        c = SetAssocCache("c", 4096, 4)
+        assert c.install_many([1, 17, 33]) == 0
+        assert c._npend == 3 and c._tick == 3
+        assert c.tags == {} and c._map == {}      # nothing applied yet
+        assert c.probe(17)                         # settles set 1 only
+        assert c._map == {1: 0, 17: 1, 33: 2}
+        assert c.lru[1] == [1, 2, 3, 0]
+
+    def test_dirty_sets_install_at_once(self):
+        """A set holding a dirty line is never deferred, so the call that
+        evicts the dirty line reports it."""
+        c = SetAssocCache("c", 2048, 2)           # 16 sets
+        c.install(0, dirty=True)
+        c.install(16)
+        assert c.install_many([32, 1]) == 1        # 32 evicts dirty line 0
+        assert c._map.get(32) is not None and not c.probe(0)
+        assert c._pending[0] == 0 and c._pending[1] == 1
+
+    def test_restore_drops_the_log(self):
+        c = SetAssocCache("c", 4096, 4)
+        snap = c.snapshot()
+        c.install_many(list(range(200)))
+        c.restore(snap)
+        assert c._npend == 0 and c._log is None and not any(c._pending)
+        assert c.evictions == 0 and c.occupancy == 0
 
 
 class TestLinesTouched:

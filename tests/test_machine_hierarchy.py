@@ -1,9 +1,15 @@
 """Tests for the cache hierarchy: miss paths, stashing, prefetch, DMA."""
 
-import pytest
+from unittest import mock
 
-from repro.machine import HierarchyConfig, MemoryHierarchy
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.machine import HierarchyConfig, MemoryHierarchy, cache as cache_mod
 from repro.machine.prefetcher import StridePrefetcher
+
+from .util import EagerCache
 
 
 def make(stash=True, prefetch=True, **kw):
@@ -158,3 +164,74 @@ class TestStreamCost:
     def test_zero_size_free(self):
         h = make()
         assert h.stream_cost(0.0, 0, 0x100, 0, "read") == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Deferred LLC pollution at the hierarchy's call sites
+# ---------------------------------------------------------------------------
+
+_SMALL = dict(l1_size=4096, l1_ways=2, l2_size=8192, l2_ways=2,
+              l3_size=8192, l3_ways=4, llc_size=16384, llc_ways=4)
+_ADDR = st.integers(0, 48 * 1024)          # ~12 candidate lines per LLC set
+_KIND = st.sampled_from(["read", "write", "ifetch"])
+_HIER_OPS = st.one_of(
+    st.tuples(st.just("pollute"), st.lists(st.integers(0, 1023), min_size=1,
+                                           max_size=96)),
+    st.tuples(st.just("access"), st.integers(0, 3), _ADDR,
+              st.integers(1, 200), _KIND),
+    st.tuples(st.just("stream"), st.integers(0, 3), _ADDR,
+              st.integers(1, 4096), st.sampled_from(["read", "write"])),
+    st.tuples(st.just("dma_write"), _ADDR, st.integers(0, 4096),
+              st.sampled_from([None, 0, 3])),
+    st.tuples(st.just("dma_read"), _ADDR, st.integers(0, 4096)),
+    st.tuples(st.just("evictions")),
+    st.tuples(st.just("snapshot")),
+    st.tuples(st.just("restore")),
+)
+
+
+def _drive_hier(h, op, now, saved):
+    kind = op[0]
+    if kind == "pollute":      # as machine/noise.py does once per tick
+        k = h.llc.install_many(op[1])
+        if k:
+            h.dram.charge_bandwidth_bulk(now, k)
+        return k
+    if kind == "access":
+        return h.access(now, op[1], op[2], op[3], op[4])
+    if kind == "stream":
+        return h.stream_cost(now, op[1], op[2], op[3], op[4])
+    if kind == "dma_write":
+        return h.dma_write(now, op[1], op[2], owner_core=op[3])
+    if kind == "dma_read":
+        return h.dma_read(now, op[1], op[2])
+    if kind == "evictions":
+        return h.llc.evictions
+    if kind == "snapshot":
+        saved[id(h)] = snap = h.snapshot()
+        return snap
+    if id(h) in saved:
+        h.restore(saved[id(h)])
+    return None
+
+
+class TestDeferredPollution:
+    """Every LLC site in the hierarchy settles before it reads or writes
+    a set, so a hierarchy with deferred pollution returns the eager one's
+    latencies (exact floats: the DRAM ledger sees the same charges at the
+    same times) and ends in the same state."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(ops=st.lists(_HIER_OPS, min_size=1, max_size=30),
+           stash=st.booleans(), bulk_min=st.sampled_from([cache_mod.BULK_MIN, 2]))
+    def test_property_lazy_equals_eager(self, ops, stash, bulk_min):
+        with mock.patch.multiple(cache_mod, BULK_MIN=bulk_min, SETTLE_CHUNK=7):
+            lazy = make(stash=stash, **_SMALL)
+            eager = make(stash=stash, **_SMALL)
+            eager.llc.__class__ = EagerCache
+            saved: dict = {}
+            for i, op in enumerate(ops):
+                now = 100.0 * i
+                assert (_drive_hier(lazy, op, now, saved)
+                        == _drive_hier(eager, op, now, saved)), op
+            assert lazy.snapshot() == eager.snapshot()

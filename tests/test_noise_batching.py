@@ -1,20 +1,30 @@
-"""Float-order identity of the batched DRAM pollution-charge path.
+"""Identity of the stress model's batched and deferred paths.
 
 The stress workload (machine/noise.py) used to charge the DRAM ledger
 once per polluted dirty line; the batched ``charge_bandwidth_bulk``
 replaces k method calls with one.  The per-line ``charge_bandwidth``
 float sequence is the contract: ``busy_until`` must round identically
 (repeated addition, never one multiply), or every noise figure's tail
-rows drift.  These tests pin exact float equality at the ledger level
-and byte-identical rows for a real noise figure point (fig11).
+rows drift.  Its LLC pollution is deferred per cache set
+(machine/cache.py) and must leave rows as the eager install loop does.
+These tests pin exact float equality at the ledger level, byte-identical
+rows for the loaded figures (fig11, fig12) against the per-line eager
+model, and the stress process's start/stop life cycle.
 """
 
 from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.bench.orchestrator import run_figures
+from repro.machine import Node, SetAssocCache, StressConfig, StressWorkload
 from repro.machine.dram import Dram
+from repro.sim import Engine
+from repro.sim.rng import RngPool
+
+from .util import eager_install_many
 
 
 def _charge_per_line(dram: Dram, now: float, lines: int) -> float:
@@ -67,19 +77,36 @@ def test_bulk_zero_lines_is_a_noop():
     assert d.snapshot() == before
 
 
-def _fig11_row(monkeypatch, batched: bool) -> str:
-    if not batched:
-        # Reroute the bulk path through the pre-batching per-line loop.
+def _tail_rows(monkeypatch, fig: str, reference: bool) -> str:
+    if reference:
+        # The pre-batching, pre-deferral model: per-line write-back
+        # charges, and every pollution line installed at its tick.
         def per_line(self, now, lines):
             return _charge_per_line(self, now, lines)
         monkeypatch.setattr(Dram, "charge_bandwidth_bulk", per_line)
-    runs = run_figures(["fig11"], smoke=True, jobs=1, store=None)
+        monkeypatch.setattr(SetAssocCache, "install_many", eager_install_many)
+    runs = run_figures([fig], smoke=True, jobs=1, store=None)
     rows = [dict(p.row) for p in runs[0].points]
     return json.dumps(rows, sort_keys=True)
 
 
-def test_fig11_rows_identical_either_path(monkeypatch):
-    batched = _fig11_row(monkeypatch, batched=True)
+@pytest.mark.parametrize("fig", ["fig11", "fig12"])
+def test_tail_rows_identical_either_path(monkeypatch, fig):
+    fast = _tail_rows(monkeypatch, fig, reference=False)
     with monkeypatch.context() as mp:
-        reference = _fig11_row(mp, batched=False)
-    assert batched == reference
+        reference = _tail_rows(mp, fig, reference=True)
+    assert fast == reference
+
+
+def test_restart_within_one_tick_runs_one_tick_loop():
+    """stop() then start() while the tick process is parked in its delay
+    must not leave the parked process ticking beside the new one."""
+    eng = Engine()
+    node = Node(eng, 0)
+    s = StressWorkload(eng, node, RngPool(1), StressConfig())  # 1 us ticks
+    s.start()
+    eng.run(until=500.0)            # ticked at t=0, parked until t=1000
+    s.stop()
+    s.start()                       # new process ticks at t=500, 1500, ...
+    eng.run(until=20_000.0)
+    assert s.ticks == 1 + 20

@@ -1,4 +1,5 @@
-"""Shared test helpers: a minimal raw loader for pre-ELF ISA tests.
+"""Shared test helpers: a minimal raw loader for pre-ELF ISA tests, and
+the eager oracle for the cache's deferred pollution.
 
 The real loader lives in ``repro.linker``; tests below that layer need a
 way to drop assembled text/data into node memory and fix up the handful of
@@ -7,9 +8,30 @@ relocations by hand.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.isa import IntrinsicTable, ObjectModule, RelocKind, Vm, native_address
-from repro.machine import PROT_RW, PROT_RWX, Node
+from repro.machine import PROT_RW, PROT_RWX, Node, SetAssocCache
 from repro.sim import Engine
+
+
+class EagerCache(SetAssocCache):
+    """Oracle for the deferred LLC pollution: ``install_many`` as the
+    per-line ``install`` loop it stands for, so nothing is ever pending."""
+
+    __slots__ = ()
+
+    def install_many(self, line_addrs) -> int:
+        return eager_install_many(self, line_addrs)
+
+
+def eager_install_many(cache: SetAssocCache, line_addrs) -> int:
+    ndirty = 0
+    for line in np.asarray(line_addrs, dtype=np.int64).tolist():
+        ev = cache.install(line)
+        if ev is not None and ev[1]:
+            ndirty += 1
+    return ndirty
 
 
 def fresh_node() -> tuple[Engine, Node]:
