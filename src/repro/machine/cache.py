@@ -16,8 +16,8 @@ engineering").
 
 Deferred pollution
 ------------------
-``install_many`` (the stress model's LLC pollution: tens of millions of
-lines per loaded figure) does not walk the sets.  It advances ``_tick``
+``install_many`` (the stress model's LLC pollution: millions of lines
+per loaded figure) does not walk the sets.  It advances ``_tick``
 as an install loop would and appends each line, with the tick it would
 have received, to a pending log.  A line only ever interacts with its
 own set, so a set's pending lines can be applied ("settled") at any
@@ -43,9 +43,6 @@ Addresses are node-physical.  The cache works in units of *lines*
 
 from __future__ import annotations
 
-from collections import deque
-from itertools import chain
-from operator import setitem
 from typing import Optional
 
 import numpy as np
@@ -56,16 +53,11 @@ LINE_SHIFT = 6
 LINE_BYTES = 1 << LINE_SHIFT
 
 #: Pending lines a cache holds before it applies them all at once; bounds
-#: the log's memory (20 bytes a line) on long loaded runs.
-PENDING_CAP = 1 << 16
-#: Below this many lines a multi-set settle applies them one at a time;
-#: from it up, vectorized over sets, at most ``SETTLE_CHUNK`` sets per
-#: step.  The step trades time for peak memory (each step's temporaries
-#: and written-back ints are live at once): on a 46k-line settle of an
-#: 8 MB LLC, 128/512/2048 sets a step took 94/72/70 ms, and two loaded
-#: perfbench rounds peaked ~1.5/~3/~5 MB above eager installs.
-BULK_MIN = 64
-SETTLE_CHUNK = 512
+#: the log's memory (20 bytes a line, so at most 10 MB) on long loaded
+#: runs.  The longest default fig11/fig12 point logs ~362k lines per LLC,
+#: so those points never reach it and their unobserved lines (~95%) are
+#: dropped at restore instead of applied.
+PENDING_CAP = 1 << 19
 
 
 def line_of(addr: int) -> int:
@@ -86,16 +78,18 @@ class _PendingLog:
     found without scanning the log.  Chaining is itself deferred to the
     first lookup after an append, then vectorized over every entry
     appended since.  Taking a set's lines unlinks them; the entries are
-    reclaimed when the cache drops the whole log."""
+    reclaimed when the cache drops the whole log.  The arrays double as
+    the log grows, so a log's memory follows what it holds (a loaded
+    perfbench op logs ~30k lines per LLC), not ``PENDING_CAP``."""
 
     __slots__ = ("mask", "lines", "ticks", "nxt", "head", "tail", "flags",
                  "n", "linked")
 
     def __init__(self, sets: int, flags: bytearray):
         self.mask = sets - 1
-        self.lines = np.empty(PENDING_CAP, np.int64)
-        self.ticks = np.empty(PENDING_CAP, np.int64)
-        self.nxt = np.empty(PENDING_CAP, np.int32)
+        self.lines = np.empty(0, np.int64)
+        self.ticks = np.empty(0, np.int64)
+        self.nxt = np.empty(0, np.int32)
         self.head = np.full(sets, -1, np.int32)
         self.tail = np.full(sets, -1, np.int32)
         self.flags = np.frombuffer(flags, np.uint8)   # cache._pending view
@@ -105,6 +99,13 @@ class _PendingLog:
     def append(self, lines, ticks, sets) -> None:
         n = self.n
         m = n + len(lines)
+        if m > len(self.lines):
+            size = min(max(m, 2 * len(self.lines)), PENDING_CAP)
+            for name in ("lines", "ticks", "nxt"):
+                old = getattr(self, name)
+                grown = np.empty(size, old.dtype)
+                grown[:n] = old[:n]
+                setattr(self, name, grown)
         self.lines[n:m] = lines
         self.ticks[n:m] = ticks
         self.flags[sets] = 1
@@ -153,25 +154,23 @@ class _PendingLog:
             i = nxt.item(i)
         return out
 
-    def take_rounds(self, sets) -> list:
+    def take_sets(self, sets):
         """Unlink the pending lines of ``sets`` (distinct indices of sets
-        with pending lines) and return them walked in lockstep: round r
-        is (positions in ``sets``, log indices) of each set's r-th line."""
+        with pending lines); their log indices, walked in lockstep (every
+        set's first line, then every set's second, ...), so each set's
+        lines stay in tick order."""
         if self.linked != self.n:
             self._link()
-        cur = self.head[sets].astype(np.intp)
+        cur = self.head[sets]
         self.head[sets] = -1
         self.tail[sets] = -1
         self.flags[sets] = 0
-        pos = np.arange(len(sets))
-        rounds = []
+        steps = []
         while len(cur):
-            rounds.append((pos, cur))
-            step = self.nxt[cur]
-            more = step >= 0
-            pos = pos[more]
-            cur = step[more].astype(np.intp)
-        return rounds
+            steps.append(cur)
+            cur = self.nxt[cur]
+            cur = cur[cur >= 0]
+        return np.concatenate(steps) if steps else cur
 
 
 class SetAssocCache:
@@ -237,11 +236,7 @@ class SetAssocCache:
         """Apply set ``sidx``'s pending lines.  Callers test
         ``_npend and _pending[sidx]`` first (the cheap common case)."""
         self._pending[sidx] = 0
-        log = self._log
-        lines = log.lines
-        ticks = log.ticks
-        for i in log.take_set(sidx):
-            self._install_at(lines.item(i), ticks.item(i), False)
+        self._apply(self._log.take_set(sidx))
 
     def settle_span(self, first: int, nlines: int) -> None:
         """Settle every set that lines ``first .. first+nlines-1`` map to."""
@@ -264,12 +259,13 @@ class SetAssocCache:
         else:
             hot = np.concatenate((np.flatnonzero(flags[lo:]) + lo,
                                   np.flatnonzero(flags[:hi - self.sets])))
-        self._settle_sets(hot)
+        if len(hot):
+            self._apply(self._log.take_sets(hot))
 
     def settle(self) -> None:
         """Apply every pending line."""
         if self._npend:
-            self._settle_sets(np.flatnonzero(self._log.flags))
+            self._apply(self._log.take_sets(np.flatnonzero(self._log.flags)))
             self._drop_log()
 
     def _drop_log(self) -> None:
@@ -279,79 +275,46 @@ class SetAssocCache:
         self._log = None
         self._npend = 0
 
-    def _settle_sets(self, sets) -> None:
-        """Apply the pending lines of ``sets`` (distinct set indices), a
-        bounded chunk of sets at a time so the temporaries stay small."""
-        for lo in range(0, len(sets), SETTLE_CHUNK):
-            self._settle_chunk(sets[lo:lo + SETTLE_CHUNK])
-
-    def _settle_chunk(self, sets) -> None:
+    def _apply(self, idx) -> None:
+        """Install the log entries ``idx`` clean, each at its own tick:
+        the install loop, run late, with the per-line lookups hoisted.
+        Sets are independent, so any order that keeps each set's entries
+        in tick order leaves the state the loop would have.  A set with
+        pending lines holds no dirty line, so no eviction here owes a
+        write-back."""
         log = self._log
-        rounds = log.take_rounds(sets)
-        lines = log.lines
-        ticks = log.ticks
-        if sum(len(idx) for _, idx in rounds) < BULK_MIN:
-            # Sets are independent, so round order (each set's lines in
-            # tick order) is an exact application order.
-            put = self._install_at
-            for _, idx in rounds:
-                for i in idx.tolist():
-                    put(lines.item(i), ticks.item(i), False)
-            return
-        # Vectorized over sets: load the sets' rows into two matrices and
-        # replay the rounds.  A set appears at most once per round, so
-        # the install decision (hit -> refresh, else first invalid way,
-        # else the LRU way) is an independent row of one vector step.
-        # Every pending set is clean: nothing here touches dirty bits.
-        touched = sets.tolist()
-        w = self.ways
-        tags = self.tags
-        lru = self.lru
-        dirty = self.dirty
-        for s in touched:
-            if s not in tags:
-                tags[s] = [-1] * w
-                lru[s] = [0] * w
-                dirty[s] = [False] * w
-        tag_rows = [tags[s] for s in touched]
-        lru_rows = [lru[s] for s in touched]
-        size = len(touched) * w
-        tag_m = np.fromiter(chain.from_iterable(tag_rows), np.int64,
-                            size).reshape(-1, w)
-        lru_m = np.fromiter(chain.from_iterable(lru_rows), np.int64,
-                            size).reshape(-1, w)
-        tag_0 = tag_m.copy()
-        lru_0 = lru_m.copy()
-        evictions = 0
-        for g, idx in rounds:
-            x = lines[idx]
-            rows = tag_m[g]
-            hit = rows == x[:, None]
-            is_hit = hit.any(1)
-            free = rows == -1
-            has_free = free.any(1)
-            way = np.where(is_hit, hit.argmax(1),
-                           np.where(has_free, free.argmax(1),
-                                    lru_m[g].argmin(1)))
-            evictions += len(idx) - int(np.count_nonzero(is_hit | has_free))
-            tag_m[g, way] = x
-            lru_m[g, way] = ticks[idx]
-        # Write the changed ways back into the rows in place, and move
-        # their map entries: every drop first, so a line that changed way
-        # ends right, and each added key is its row's own int object.
-        # C-level map() loops: these run once per changed way.
+        mask = self._set_mask
         mp = self._map
-        gi, wi = np.nonzero(tag_m != tag_0)
-        gone = tag_0[gi, wi]
-        deque(map(mp.__delitem__, gone[gone >= 0].tolist()), 0)
-        added = tag_m[gi, wi].tolist()
-        ways = wi.tolist()
-        deque(map(setitem, [tag_rows[g] for g in gi.tolist()], ways, added),
-              0)
-        mp.update(zip(added, ways))
-        gi, wi = np.nonzero(lru_m != lru_0)
-        deque(map(setitem, [lru_rows[g] for g in gi.tolist()], wi.tolist(),
-                  lru_m[gi, wi].tolist()), 0)
+        mget = mp.get
+        tags = self.tags
+        tget = tags.get
+        lru = self.lru
+        ways = self.ways
+        evictions = 0
+        for line, tick in zip(log.lines[idx].tolist(),
+                              log.ticks[idx].tolist()):
+            sidx = line & mask
+            way = mget(line)
+            if way is not None:
+                lru[sidx][way] = tick
+                continue
+            row = tget(sidx)
+            if row is None:
+                row = tags[sidx] = [-1] * ways
+                lrow = lru[sidx] = [0] * ways
+                self.dirty[sidx] = [False] * ways
+                way = 0
+            elif -1 in row:
+                way = row.index(-1)
+                lrow = lru[sidx]
+            else:
+                lrow = lru[sidx]
+                way = lrow.index(min(lrow))
+                del mp[row[way]]
+                evictions += 1
+            row[way] = line
+            mp[line] = way
+            lrow[way] = tick
         self._evictions += evictions
 
     def mark_dirty_span(self, first: int, nlines: int) -> None:
@@ -418,12 +381,6 @@ class SetAssocCache:
         if dirty and self._dirty_sets is not None:
             self._dirty_sets[sidx] = 1
         self._tick = tick = self._tick + 1
-        return self._install_at(line_addr, tick, dirty)
-
-    def _install_at(self, line_addr: int, tick: int, dirty: bool
-                    ) -> Optional[tuple[int, bool]]:
-        """``install`` at a given tick, with the set already settled."""
-        sidx = line_addr & self._set_mask
         way = self._map.get(line_addr)
         if way is not None:
             self.lru[sidx][way] = tick
@@ -473,7 +430,6 @@ class SetAssocCache:
             return sum(self.install_many(lines[lo:lo + PENDING_CAP])
                        for lo in range(0, k, PENDING_CAP))
         tick0 = self._tick
-        self._tick = tick0 + k
         sets = lines & self._set_mask
         ticks = np.arange(tick0 + 1, tick0 + k + 1)
         ndirty = 0
@@ -484,15 +440,17 @@ class SetAssocCache:
             now = np.frombuffer(dirty_sets, np.uint8)[sets].astype(bool)
             if now.any():
                 for j in np.flatnonzero(now).tolist():
-                    ev = self._install_at(lines.item(j), tick0 + j + 1, False)
+                    self._tick = tick0 + j     # install() takes the next
+                    ev = self.install(lines.item(j))
                     if ev is not None and ev[1]:
                         ndirty += 1
                 later = ~now
                 lines = lines[later]
-                if not len(lines):
-                    return ndirty
                 sets = sets[later]
                 ticks = ticks[later]
+        self._tick = tick0 + k
+        if not len(lines):
+            return ndirty
         if self._npend + len(lines) > PENDING_CAP:
             self.settle()
         log = self._log

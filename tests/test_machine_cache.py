@@ -145,11 +145,9 @@ _CACHE_OPS = st.one_of(
     st.tuples(st.just("restore")),
     st.tuples(st.just("flush")),
 )
-# (PENDING_CAP, BULK_MIN, SETTLE_CHUNK): the shipped values, and small ones
-# that push every settle path (bulk, chunked, over the cap) into reach.
-_KNOBS = st.sampled_from([(cache_mod.PENDING_CAP, cache_mod.BULK_MIN,
-                           cache_mod.SETTLE_CHUNK),
-                          (40, 2, 3), (200, 8, 5)])
+# PENDING_CAP: the shipped value, and small ones that bring the settle of
+# a log about to pass the cap into reach.
+_CAPS = st.sampled_from([cache_mod.PENDING_CAP, 40, 200])
 
 
 def _drive(c, op, saved):
@@ -190,11 +188,9 @@ class TestDeferredPollution:
     eager state field for field."""
 
     @settings(max_examples=150, deadline=None)
-    @given(ops=st.lists(_CACHE_OPS, min_size=1, max_size=40), knobs=_KNOBS)
-    def test_property_lazy_equals_eager(self, ops, knobs):
-        cap, bulk_min, chunk = knobs
-        with mock.patch.multiple(cache_mod, PENDING_CAP=cap,
-                                 BULK_MIN=bulk_min, SETTLE_CHUNK=chunk):
+    @given(ops=st.lists(_CACHE_OPS, min_size=1, max_size=40), cap=_CAPS)
+    def test_property_lazy_equals_eager(self, ops, cap):
+        with mock.patch.object(cache_mod, "PENDING_CAP", cap):
             lazy = SetAssocCache("lazy", 4096, 4)
             eager = EagerCache("eager", 4096, 4)
             saved: dict = {}

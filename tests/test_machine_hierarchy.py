@@ -1,12 +1,10 @@
 """Tests for the cache hierarchy: miss paths, stashing, prefetch, DMA."""
 
-from unittest import mock
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.machine import HierarchyConfig, MemoryHierarchy, cache as cache_mod
+from repro.machine import HierarchyConfig, MemoryHierarchy
 from repro.machine.prefetcher import StridePrefetcher
 
 from .util import EagerCache
@@ -223,15 +221,14 @@ class TestDeferredPollution:
 
     @settings(max_examples=120, deadline=None)
     @given(ops=st.lists(_HIER_OPS, min_size=1, max_size=30),
-           stash=st.booleans(), bulk_min=st.sampled_from([cache_mod.BULK_MIN, 2]))
-    def test_property_lazy_equals_eager(self, ops, stash, bulk_min):
-        with mock.patch.multiple(cache_mod, BULK_MIN=bulk_min, SETTLE_CHUNK=7):
-            lazy = make(stash=stash, **_SMALL)
-            eager = make(stash=stash, **_SMALL)
-            eager.llc.__class__ = EagerCache
-            saved: dict = {}
-            for i, op in enumerate(ops):
-                now = 100.0 * i
-                assert (_drive_hier(lazy, op, now, saved)
-                        == _drive_hier(eager, op, now, saved)), op
-            assert lazy.snapshot() == eager.snapshot()
+           stash=st.booleans())
+    def test_property_lazy_equals_eager(self, ops, stash):
+        lazy = make(stash=stash, **_SMALL)
+        eager = make(stash=stash, **_SMALL)
+        eager.llc.__class__ = EagerCache
+        saved: dict = {}
+        for i, op in enumerate(ops):
+            now = 100.0 * i
+            assert (_drive_hier(lazy, op, now, saved)
+                    == _drive_hier(eager, op, now, saved)), op
+        assert lazy.snapshot() == eager.snapshot()
