@@ -12,6 +12,7 @@ import os
 import time
 
 from repro.bench.orchestrator import (
+    available_cpus,
     build_meta,
     render_runs_text,
     run_figures,
@@ -24,7 +25,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("figures", nargs="*", help="sweeps to run "
                         "(default: all; see 'twochains bench list')")
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    parser.add_argument("--jobs", type=int, default=available_cpus())
     parser.add_argument("--out", default="results/bench")
     parser.add_argument("--report", default="results/experiments_full.txt")
     args = parser.parse_args()

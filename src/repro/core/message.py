@@ -133,6 +133,13 @@ class FrameView:
 
 def unpack_header(blob: bytes | bytearray | memoryview, offset: int = 0
                   ) -> FrameView:
+    """Decode the frame header at ``offset``.  Any malformed input —
+    including a buffer too short for the header, or for the GOT pointer
+    an injected frame carries — raises :class:`MailboxError`."""
+    avail = len(blob) - offset
+    if offset < 0 or avail < HDR_SIZE:
+        raise MailboxError(f"truncated frame header: {max(avail, 0)} of "
+                           f"{HDR_SIZE} bytes at offset {offset}")
     (magic, version, flags, seq, pkg, elem, code_size, payload_size,
      a0, a1) = _HDR.unpack_from(blob, offset)
     if magic != MAGIC:
@@ -141,6 +148,9 @@ def unpack_header(blob: bytes | bytearray | memoryview, offset: int = 0
         raise MailboxError(f"unsupported frame version {version}")
     gotp = 0
     if code_size:
+        if avail < HDR_SIZE + GOTP_SIZE:
+            raise MailboxError(f"truncated frame: {code_size} code bytes "
+                               f"but no GOT pointer word")
         gotp = struct.unpack_from("<Q", blob, offset + HDR_SIZE)[0]
     return FrameView(flags, pkg, elem, code_size, payload_size, seq,
                      (a0, a1), gotp)

@@ -519,11 +519,8 @@ class ChainKV:
     # -- introspection / teardown -------------------------------------------
 
     def put_count(self, node_id: int) -> int:
-        """Replica-side ck_puts counter (how many puts applied there).
-
-        Read through the world (shard-routable: the node's memory may
-        live in a shard worker process) rather than the node object.
-        """
+        """Replica-side ck_puts counter (how many puts applied there),
+        read through :meth:`World.read_u64`."""
         lib = self._pkg[node_id].library
         return self.world.read_u64(node_id, lib.symbol("ck_puts"))
 

@@ -9,6 +9,7 @@ round-trip, and direction-aware regression detection in ``bench diff``.
 from __future__ import annotations
 
 import json
+import os
 import re
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from repro.bench.orchestrator import (
     build_meta,
     diff_paths,
     diff_payloads,
+    resolve_jobs,
     resolve_names,
     run_figures,
     write_runs,
@@ -172,7 +174,7 @@ TOP_LEVEL_KEYS = {
 META_KEYS = {
     "generated_at", "host", "platform", "python", "git_sha",
     "code_version", "seed", "fast", "smoke", "jobs", "trace", "fork", "fuse",
-    "trace_jit", "metrics_enabled", "shards", "wall_clock_s",
+    "trace_jit", "metrics_enabled", "wall_clock_s",
     "sweep_wall_s", "cache_hits", "cache_misses", "setup_cache",
     "sim_throughput", "metrics",
 }
@@ -185,6 +187,21 @@ SIM_THROUGHPUT_KEYS = {
     "traces_compiled", "trace_dispatches", "trace_instructions",
     "guard_bails", "trace_invalidations",
 }
+
+
+def test_jobs_auto_honours_cpu_affinity_mask(monkeypatch):
+    """A cgroup cpuset shrinks the affinity mask, not os.cpu_count():
+    ``--jobs auto`` must size the pool from the mask."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    assert resolve_jobs("auto") == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                        raising=False)
+    assert resolve_jobs("auto") == 3
+    assert resolve_jobs(4) == 4
+    with pytest.raises(ValueError):
+        resolve_jobs(0)
 
 
 def test_bench_json_schema_roundtrip(tmp_path):

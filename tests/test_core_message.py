@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 from repro.core import (
     F_INJECTED,
     Frame,
+    FrameView,
     count_got_accesses,
     frame_wire_size,
     pack_frame,
     rewrite_got_accesses,
     unpack_header,
 )
+from repro.core.message import GOTP_SIZE, HDR_SIZE
 from repro.errors import MailboxError, TwoChainsError
 from repro.isa import Instr, Op, decode_program, encode_program
 
@@ -62,6 +64,42 @@ class TestFrameFormat:
     def test_bad_magic_rejected(self):
         with pytest.raises(MailboxError, match="magic"):
             unpack_header(b"\0" * 64)
+
+    def test_truncated_header_rejected(self):
+        blob = pack_frame(Frame(1, 0, seq=1, payload=b"x"), 64)
+        with pytest.raises(MailboxError, match="truncated"):
+            unpack_header(blob[:HDR_SIZE - 1])
+        with pytest.raises(MailboxError, match="truncated"):
+            unpack_header(blob, len(blob) - HDR_SIZE + 1)
+        assert unpack_header(blob[:HDR_SIZE]).payload_size == 1
+
+    def test_injected_header_without_got_pointer_rejected(self):
+        blob = pack_frame(Frame(1, 0, flags=F_INJECTED, seq=1,
+                                code=b"\0" * 8), 64)
+        with pytest.raises(MailboxError, match="GOT pointer"):
+            unpack_header(blob[:HDR_SIZE + GOTP_SIZE - 1])
+        assert unpack_header(blob[:HDR_SIZE + GOTP_SIZE]).code_size == 8
+
+    @settings(max_examples=300, deadline=None)
+    @given(blob=st.one_of(
+               st.binary(max_size=80),
+               # Valid frames cut anywhere, so the magic/version checks
+               # pass and the size checks behind them are reached.
+               st.builds(lambda code, n: pack_frame(
+                   Frame(1, 0, flags=F_INJECTED if code else 0, seq=1,
+                         code=code), 64)[:n],
+                   st.sampled_from([b"", b"\0" * 8]),
+                   st.integers(0, 64))),
+           offset=st.integers(-8, 88))
+    def test_property_any_bytes_give_view_or_mailbox_error(self, blob,
+                                                           offset):
+        try:
+            view = unpack_header(blob, offset)
+        except MailboxError:
+            return
+        assert isinstance(view, FrameView)
+        assert HDR_SIZE + (GOTP_SIZE if view.code_size else 0) \
+            <= len(blob) - offset
 
     @settings(max_examples=50, deadline=None)
     @given(code=st.binary(max_size=200).filter(lambda b: len(b) % 8 == 0),
