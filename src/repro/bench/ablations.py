@@ -30,7 +30,7 @@ from ..core.stdjams import (
     JAM_SS_SUM_NAIVE,
     JAM_TAG,
 )
-from ..core.stdworld import shared_world
+from ..core.stdworld import make_world
 from ..errors import ReproError
 from ..machine.hierarchy import HierarchyConfig
 from ..machine.pages import PROT_RW
@@ -52,7 +52,7 @@ def _series_at(r: FigureResult, series: str, x) -> float | None:
 
 def _adaptive_rate(messages: int):
     """Rate of the adaptive sender (inject 4x, then auto-switch local)."""
-    world = shared_world()
+    world = make_world()
     nb = 32
     fsize = world.frame_size_for("jam_indirect_put", nb, True)
     mb = world.server.create_mailbox(4, 8, fsize)
@@ -101,7 +101,7 @@ def _point_adaptive(mode: str, messages: int) -> dict:
         saved_pct = 100.0 * stats.wire_bytes_saved / (messages * fsize)
         injected_sends = stats.injected_sends
     else:
-        world = shared_world()
+        world = make_world()
         rate = am_injection_rate(world, "jam_indirect_put", 32,
                                  inject=(mode == "injected"),
                                  messages=messages).rate_mps
@@ -138,7 +138,6 @@ register(FigureSpec(
     directions={"rate_mps": "higher", "wire_saved_pct": "higher"},
     notes="adaptive injects 4x then switches to compact Local frames; "
           "message rate stays near injected while wire bytes drop >80%",
-    setup_key="std",
 ))
 
 
@@ -152,7 +151,7 @@ def _points_mailbox(fast: bool) -> list[dict]:
 
 
 def _point_mailbox(banks: int, slots: int, messages: int) -> dict:
-    world = shared_world()
+    world = make_world()
     rate = am_injection_rate(world, "jam_ss_sum", 64, messages=messages,
                              banks=banks, slots=slots).rate_mps
     return {"x": f"{banks}x{slots}", "rate_mps": rate,
@@ -181,7 +180,6 @@ register(FigureSpec(
     directions={"rate_mps": "higher"},
     notes="deeper mailboxes amortize the per-bank flow-control flag "
           "round-trip; a 1x1 mailbox serializes on it entirely",
-    setup_key="std",
 ))
 
 
@@ -193,7 +191,7 @@ def _multicore_rate(ncores: int, messages_per_core: int,
                     payload_bytes: int):
     from ..core.runtime import PreparedJam
 
-    world = shared_world()
+    world = make_world()
     engine = world.engine
     fsize = world.frame_size_for("jam_indirect_put", payload_bytes, True)
     pkg = world.client.packages[world.build.package_id]
@@ -271,7 +269,6 @@ register(FigureSpec(
     directions={"rate_mps": "higher"},
     notes="execution-bound at 4KB payloads: extra cores overlap message "
           "processing until the shared wire/sender binds",
-    setup_key="std",
 ))
 
 
@@ -292,7 +289,7 @@ def _points_prefetch(fast: bool) -> list[dict]:
 def _point_prefetch(stash: bool, prefetch: bool, payload_bytes: int,
                     warmup: int, iters: int) -> dict:
     cfg = HierarchyConfig(stash_enabled=stash, prefetch_enabled=prefetch)
-    world = shared_world(hier_cfg=cfg)
+    world = make_world(hier_cfg=cfg)
     p50 = am_pingpong(world, "jam_indirect_put", payload_bytes,
                       warmup=warmup, iters=iters).stats.p50
     return {"x": _PF_LABELS[(stash, prefetch)], "p50_ns": p50,
@@ -324,9 +321,6 @@ register(FigureSpec(
     directions={"p50_ns": "lower"},
     notes="with the prefetcher disabled, non-stashed large messages lose "
           "their latency mask and the stash advantage widens",
-    # Half its factorial builds the same worlds as figs 9-12, so share
-    # their group (reuse happens per world key, not per group).
-    setup_key="stash-pair",
 ))
 
 
@@ -345,7 +339,7 @@ def _point_security(mode: str, warmup: int, iters: int) -> dict:
         cfg = RuntimeConfig(sender_sets_gotp=False)
     elif mode == "split_wx":
         cfg = RuntimeConfig(split_code_pages=True)
-    world = shared_world(server_cfg=cfg)
+    world = make_world(server_cfg=cfg)
     world.client.cfg.sender_sets_gotp = cfg.sender_sets_gotp
     p50 = am_pingpong(world, "jam_ss_sum", 64, warmup=warmup,
                       iters=iters).stats.p50
@@ -388,7 +382,7 @@ def _points_tracejit(fast: bool) -> list[dict]:
 
 
 def _point_tracejit(payload_bytes: int, warmup: int, iters: int) -> dict:
-    world = shared_world()
+    world = make_world()
     out = am_pingpong(world, "jam_ss_sum_naive", payload_bytes,
                       warmup=warmup, iters=iters)
     return {"x": payload_bytes, "p50_ns": out.stats.p50,
@@ -418,7 +412,6 @@ register(FigureSpec(
           "payload word count and the summation loop goes hot — the "
           "workload the VM's cross-branch trace JIT compiles; simulated "
           "rows are byte-identical under --no-trace",
-    setup_key="std",
 ))
 
 

@@ -14,15 +14,13 @@ Two registered sweeps over the chain-replicated KV store
   waits for every ack.  The per-replica cost should *fall* with k as
   the post software path overlaps earlier frames' flight time.
 
-Every point builds (or forks) a ``Topology.chain(k)`` world with the
-``"chainkv"`` package; the per-k ``setup_key`` keeps equal-k points on
-one pool worker so they share warm worlds through the setup cache, and
-the fork==fresh identity tests cover these specs like any other.
+Every point builds a fresh ``Topology.chain(k)`` world with the
+``"chainkv"`` package.
 """
 
 from __future__ import annotations
 
-from ..core.stdworld import shared_world
+from ..core.stdworld import make_world
 from ..workloads.chainkv import chain_point, chain_topology
 from .figures import FigureResult, FigureSpec, board_counters, register
 from .stats import summarize
@@ -41,7 +39,7 @@ def _points_chain(fast: bool) -> list[dict]:
 
 def _point_chain(k: int, value_bytes: int, warmup: int, iters: int,
                  stream: int) -> dict:
-    w = shared_world(topology=chain_topology(k), package="chainkv")
+    w = make_world(topology=chain_topology(k), package="chainkv")
     out = chain_point(w, value_bytes=value_bytes, warmup=warmup,
                       iters=iters, stream_count=stream)
     return {"x": k,
@@ -70,7 +68,6 @@ register(FigureSpec(
     directions={"put_ns": "lower", "get_ns": "lower", "put_mps": "higher"},
     notes="put pays one injected-jam hop per replica; get is flat (tail "
           "serves it regardless of k); streamed puts pipeline the hops",
-    setup_key=lambda p: {"chain": p["k"]},
 ))
 
 
@@ -81,7 +78,7 @@ def _points_mcast(fast: bool) -> list[dict]:
 
 
 def _point_mcast(k: int, iters: int) -> dict:
-    w = shared_world(topology=chain_topology(k), package="chainkv")
+    w = make_world(topology=chain_topology(k), package="chainkv")
     out = chain_point(w, warmup=0, iters=0, mcast_iters=iters)
     install = summarize(out.mcast_ns).p50
     return {"x": k,
@@ -106,5 +103,4 @@ register(FigureSpec(
     directions={"install_ns": "lower", "per_replica_ns": "lower"},
     notes="one sweep posts the injected frame to k replicas back-to-back; "
           "per-replica cost amortizes as posts overlap earlier flights",
-    setup_key=lambda p: {"chain": p["k"]},
 ))

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..core.config import RuntimeConfig, WaitMode
-from ..core.stdworld import World, shared_world
+from ..core.stdworld import World, make_world
 from ..machine.hierarchy import HierarchyConfig
 from ..machine.noise import StressConfig
 from ..sim.trace import Scoreboard
@@ -79,14 +79,6 @@ class FigureSpec:
     rows are assembled.  ``directions`` marks, per series, whether
     ``"lower"`` or ``"higher"`` values are better — ``bench diff`` only
     flags regressions on series listed here.
-
-    ``setup_key`` names the world-setup profile the point function
-    builds: a JSON-serializable constant, or a callable mapping one
-    point's params to such a value.  Equal keys promise equal
-    ``shared_world`` acquisition sequences, so the orchestrator keeps
-    whole equal-key groups on one pool worker where later points fork
-    the warm worlds the first point built.  Defaults to the spec name —
-    always correct, but blind to cross-figure sharing.
     """
 
     name: str
@@ -97,13 +89,6 @@ class FigureSpec:
     metrics: Callable[[FigureResult], dict] | None = None
     directions: dict[str, str] = field(default_factory=dict)
     notes: str = ""
-    setup_key: Callable[[dict], object] | str | None = None
-
-    def setup_key_for(self, params: dict) -> object:
-        """The setup-group key for one sweep point (JSON-serializable)."""
-        if callable(self.setup_key):
-            return self.setup_key(params)
-        return self.setup_key if self.setup_key is not None else self.name
 
 
 REGISTRY: dict[str, FigureSpec] = {}
@@ -201,10 +186,10 @@ def _points_fig5(fast: bool) -> list[dict]:
 
 
 def _point_fig5(size: int, warmup: int, iters: int) -> dict:
-    w = shared_world()
+    w = make_world()
     am = am_pingpong(w, "jam_ss_sum", size, inject=False, no_exec=True,
                      warmup=warmup, iters=iters)
-    w2 = shared_world()
+    w2 = make_world()
     ucx = ucx_put_pingpong(w2, am.wire_size, warmup=warmup, iters=iters)
     return {"x": am.wire_size,
             "am_ns": am.stats.p50,
@@ -230,7 +215,6 @@ register(FigureSpec(
                 "overhead_pct": "lower"},
     notes="paper: <=1.5% worse at worst; ours lands at or below the "
           "UCX baseline",
-    setup_key="std",
 ))
 
 
@@ -239,10 +223,10 @@ def _points_fig6(fast: bool) -> list[dict]:
 
 
 def _point_fig6(size: int, messages: int) -> dict:
-    w = shared_world()
+    w = make_world()
     am = am_injection_rate(w, "jam_ss_sum", size, inject=False,
                            no_exec=True, messages=messages)
-    w2 = shared_world()
+    w2 = make_world()
     ucx = ucx_put_stream(w2, am.wire_size, messages=messages)
     return {"x": am.wire_size,
             "am_gbps": am.wire_gbps,
@@ -267,7 +251,6 @@ register(FigureSpec(
     metrics=_metrics_fig6,
     directions={"am_gbps": "higher", "ucx_gbps": "higher",
                 "speedup": "higher"},
-    setup_key="std",
 ))
 
 
@@ -283,9 +266,9 @@ def _points_fig7(fast: bool, jam: str) -> list[dict]:
 
 def _point_fig7(jam: str, ints: int, warmup: int, iters: int) -> dict:
     nb = ints * 4
-    w = shared_world()
+    w = make_world()
     inj = am_pingpong(w, jam, nb, inject=True, warmup=warmup, iters=iters)
-    w2 = shared_world()
+    w2 = make_world()
     loc = am_pingpong(w2, jam, nb, inject=False, warmup=warmup, iters=iters)
     return {"x": ints,
             "injected_ns": inj.stats.p50,
@@ -316,7 +299,6 @@ for _jam, _name in (("jam_indirect_put", "fig7"), ("jam_ss_sum", "fig7_sum")):
         directions={"injected_ns": "lower", "local_ns": "lower",
                     "loss_pct": "lower"},
         notes=_FIG7_NOTES,
-        setup_key="std",
     ))
 
 
@@ -326,10 +308,10 @@ def _points_fig8(fast: bool) -> list[dict]:
 
 def _point_fig8(ints: int, messages: int) -> dict:
     nb = ints * 4
-    w = shared_world()
+    w = make_world()
     inj = am_injection_rate(w, "jam_indirect_put", nb, inject=True,
                             messages=messages)
-    w2 = shared_world()
+    w2 = make_world()
     loc = am_injection_rate(w2, "jam_indirect_put", nb, inject=False,
                             messages=messages)
     return {"x": ints,
@@ -354,7 +336,6 @@ register(FigureSpec(
     metrics=_metrics_fig8,
     directions={"injected_mps": "higher", "local_mps": "higher",
                 "rate_loss_pct": "higher"},
-    setup_key="std",
 ))
 
 
@@ -363,8 +344,8 @@ register(FigureSpec(
 # ---------------------------------------------------------------------------
 
 def _stash_worlds() -> tuple[World, World]:
-    return (shared_world(hier_cfg=HierarchyConfig(stash_enabled=True)),
-            shared_world(hier_cfg=HierarchyConfig(stash_enabled=False)))
+    return (make_world(hier_cfg=HierarchyConfig(stash_enabled=True)),
+            make_world(hier_cfg=HierarchyConfig(stash_enabled=False)))
 
 
 def _points_fig9(fast: bool) -> list[dict]:
@@ -399,7 +380,6 @@ register(FigureSpec(
     metrics=_metrics_fig9,
     directions={"stash_ns": "lower", "nonstash_ns": "lower",
                 "reduction_pct": "higher"},
-    setup_key="stash-pair",
 ))
 
 
@@ -444,7 +424,6 @@ for _jam, _name, _xl in (
         metrics=(lambda r, _t=_target: _metrics_fig10(r, _t)),
         directions={"stash_mps": "higher", "nonstash_mps": "higher",
                     "increase_pct": "higher"},
-        setup_key="stash-pair",
     ))
 
 
@@ -505,7 +484,6 @@ for _jam, _name, _xl, _gain in (
                     "stash_spread_pct": "lower",
                     "nonstash_p50": "lower", "nonstash_p999": "lower",
                     "tail_improvement": "higher"},
-        setup_key="stash-pair",
     ))
 
 
@@ -524,11 +502,11 @@ def _points_wfe(fast: bool, jam: str) -> list[dict]:
 
 
 def _point_wfe(jam: str, x, nbytes: int, warmup: int, iters: int) -> dict:
-    wp = shared_world(client_cfg=RuntimeConfig(wait_mode=WaitMode.POLL),
-                      server_cfg=RuntimeConfig(wait_mode=WaitMode.POLL))
+    wp = make_world(client_cfg=RuntimeConfig(wait_mode=WaitMode.POLL),
+                    server_cfg=RuntimeConfig(wait_mode=WaitMode.POLL))
     pol = am_pingpong(wp, jam, nbytes, warmup=warmup, iters=iters)
-    ww = shared_world(client_cfg=RuntimeConfig(wait_mode=WaitMode.WFE),
-                      server_cfg=RuntimeConfig(wait_mode=WaitMode.WFE))
+    ww = make_world(client_cfg=RuntimeConfig(wait_mode=WaitMode.WFE),
+                    server_cfg=RuntimeConfig(wait_mode=WaitMode.WFE))
     wfe = am_pingpong(ww, jam, nbytes, warmup=warmup, iters=iters)
     return {"x": x,
             "poll_ns": pol.stats.p50,
@@ -562,7 +540,6 @@ for _jam, _name, _xl in (
                     "poll_cycles_per_msg": "lower",
                     "wfe_cycles_per_msg": "lower",
                     "cycle_reduction": "higher"},
-        setup_key="wfe-pair",
     ))
 
 

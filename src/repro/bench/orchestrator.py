@@ -10,19 +10,15 @@ what actually changed.  Every run writes one versioned
 ``bench diff`` compares two result sets, flagging direction-aware
 regressions beyond a noise threshold.
 
-Scheduling is setup-aware (docs/ARCHITECTURE.md, "Performance
-engineering"): uncached points are grouped by their spec's
-``setup_key`` and each pool worker owns whole groups, so inside a group
-every point after the first forks the warm worlds the first point built
-(:mod:`repro.core.stdworld`'s setup cache) instead of repaying the
-build+link prefix.  Groups are ordered longest-expected-first (LPT,
-from the :class:`~.resultstore.TimingStore` history) so the slowest
-group cannot start last and stretch the tail of a parallel run.
+Every uncached point is its own pool task, dispatched in sweep order
+one at a time (``chunksize=1``), so an idle worker always takes the
+next point and one long sweep spreads over every worker.  Each point
+builds fresh worlds (docs/BENCHMARKS.md, "Why sweep points build fresh
+worlds").
 
 Results are deterministic: points are assembled in sweep order no matter
-which worker finished first, forked worlds measure byte-identically to
-fresh ones (enforced by the fork determinism tests), and everything
-host- or time-dependent lives under the payload's ``meta`` key.
+which worker finished first, and everything host- or time-dependent
+lives under the payload's ``meta`` key.
 """
 
 from __future__ import annotations
@@ -37,7 +33,6 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-from ..core.stdworld import SETUP_CACHE
 from ..obs.attribution import phase_breakdown, phase_durations
 from ..obs.metrics import METRICS, merge_snapshots, metrics_block
 from ..obs.slo import DEFAULT_HEALTH_THRESHOLD_PCT, health_diff_payloads
@@ -48,8 +43,6 @@ from .figures import FigureResult, FigureSpec, assemble, full_registry
 from .report import bench_payload, render_figure
 from .resultstore import (
     ResultStore,
-    TimingStore,
-    canonical_json,
     code_version,
     git_sha,
 )
@@ -71,11 +64,6 @@ class PointRecord:
     # span-name -> [dur_ns, ...] captured while the point ran (None
     # unless the run was traced; see run_figures(trace=True))
     phases: dict | None = None
-    # world setup-cache activity while this point ran: forks of a warm
-    # pooled world vs fresh builds (both 0 for result-cache hits and
-    # fork-disabled runs)
-    setup_hits: int = 0
-    setup_misses: int = 0
     # stable-metrics snapshot captured while the point ran (or recalled
     # from the result cache — it is as deterministic as the row itself);
     # None when the run had metrics disabled
@@ -99,8 +87,6 @@ class FigureRun:
     sweep_wall_s: float = 0.0
     cache_hits: int = 0
     cache_misses: int = 0
-    setup_hits: int = 0
-    setup_misses: int = 0
 
     @property
     def sim_counters(self) -> dict:
@@ -146,76 +132,50 @@ def resolve_names(names: list[str] | None) -> list[str]:
     return list(names)
 
 
-def _exec_point(task: tuple[str, dict, bool, bool]
-                ) -> tuple[dict, float, dict, dict | None, dict | None,
-                           int, int]:
-    """Run one sweep point in the current process.
+def _exec_point(task: tuple[str, dict, bool, bool, bool, bool]
+                ) -> tuple[dict, float, dict, dict | None, dict | None]:
+    """Run one sweep point in the current process (a pool worker or the
+    parent).
 
     Returns (row, elapsed seconds, SimCounters delta, phase durations,
-    metrics snapshot, setup-cache hits, setup-cache misses).  Counters
-    are process-wide, so the delta — not the absolute value — is what
-    ships back from pool workers; the parent sums deltas per figure.
-    With ``trace`` set the point runs under the structured tracer and
-    the span durations travel back as a plain name -> [dur_ns] dict
-    (the Tracer itself never crosses the process boundary); likewise
-    ``metrics`` captures the registry and ships back its plain-dict
-    stable snapshot.
+    metrics snapshot).  Counters are process-wide, so the delta — not
+    the absolute value — is what ships back from pool workers; the
+    parent sums deltas per figure.  With ``trace`` set the point runs
+    under the structured tracer and the span durations travel back as a
+    plain name -> [dur_ns] dict (the Tracer itself never crosses the
+    process boundary); likewise ``metrics`` captures the registry and
+    ships back its plain-dict stable snapshot.  ``fuse`` and
+    ``trace_jit`` carry the VM compilation-tier switches into pool
+    workers (process-global state does not travel with the task
+    otherwise); the previous settings are restored afterwards.
     """
-    name, params, trace, metrics = task
-    spec = full_registry()[name]
-    before = COUNTERS.snapshot()
-    hits0, misses0 = SETUP_CACHE.counts()
-    SETUP_CACHE.begin_point()
-    phases = None
-    msnap = None
-    t0 = time.perf_counter()
-    if metrics:
-        METRICS.attach()
-    if trace:
-        with TRACER.capture():
-            row = spec.point(**params)
-            phases = phase_durations(TRACER.events)
-    else:
-        row = spec.point(**params)
-    if metrics:
-        METRICS.detach()
-        msnap = METRICS.snapshot(stable_only=True)
-        METRICS.clear()
-    elapsed = time.perf_counter() - t0
-    hits1, misses1 = SETUP_CACHE.counts()
-    return (row, elapsed, COUNTERS.delta(before), phases, msnap,
-            hits1 - hits0, misses1 - misses0)
-
-
-def _exec_group(task: tuple[list[tuple[str, dict, bool, bool]],
-                            bool, bool, bool]
-                ) -> list[tuple[dict, float, dict, dict | None, dict | None,
-                                int, int]]:
-    """Pool worker: run one setup-key group of sweep points, in order.
-
-    The whole group runs in this process with the world setup cache
-    enabled (unless ``fork`` is off), so every point after the first
-    forks the warm worlds its predecessors built instead of repaying
-    the build+link prefix.  The cache is torn down afterwards — pool
-    workers may process several groups and must not leak worlds between
-    them.  ``fuse`` and ``trace_jit`` carry the VM compilation-tier
-    switches into pool workers (process-global state does not travel
-    with the task otherwise).
-    """
-    group, fork, fuse, trace_jit = task
+    name, params, trace, metrics, fuse, trace_jit = task
     from ..isa import vm as _vm
     prev_fuse = _vm.fusion_enabled()
     prev_trace = _vm.trace_jit_enabled()
     _vm.set_fusion(fuse)
     _vm.set_trace_jit(trace_jit)
-    if fork:
-        SETUP_CACHE.enabled = True
-        SETUP_CACHE.clear()
     try:
-        return [_exec_point(t) for t in group]
+        spec = full_registry()[name]
+        before = COUNTERS.snapshot()
+        phases = None
+        msnap = None
+        t0 = time.perf_counter()
+        if metrics:
+            METRICS.attach()
+        if trace:
+            with TRACER.capture():
+                row = spec.point(**params)
+                phases = phase_durations(TRACER.events)
+        else:
+            row = spec.point(**params)
+        if metrics:
+            METRICS.detach()
+            msnap = METRICS.snapshot(stable_only=True)
+            METRICS.clear()
+        elapsed = time.perf_counter() - t0
+        return row, elapsed, COUNTERS.delta(before), phases, msnap
     finally:
-        SETUP_CACHE.enabled = False
-        SETUP_CACHE.clear()
         _vm.set_fusion(prev_fuse)
         _vm.set_trace_jit(prev_trace)
 
@@ -247,52 +207,19 @@ def resolve_jobs(jobs: int | str) -> int:
     return n
 
 
-def _group_pending(pending: list[tuple[str, int]], plan_by_name: dict,
-                   registry: dict, trace: bool, metrics: bool,
-                   timings: TimingStore | None
-                   ) -> list[list[tuple[str, dict, bool, bool]]]:
-    """Bucket uncached points into setup-key groups, longest-first.
-
-    Group membership follows each spec's ``setup_key_for``; ordering is
-    LPT by the summed elapsed history of the group's points, with
-    never-measured groups first (their duration is unknown, so starting
-    them early bounds how badly they can stretch a parallel schedule —
-    and running them fills in the history).  Points keep sweep order
-    inside their group.
-    """
-    groups: dict[str, list[tuple[str, dict, bool, bool]]] = {}
-    expected: dict[str, float] = {}
-    unknown: dict[str, bool] = {}
-    for name, i in pending:
-        params = plan_by_name[name][i]
-        gkey = canonical_json(registry[name].setup_key_for(params))
-        groups.setdefault(gkey, []).append((name, params, trace, metrics))
-        hist = timings.get(name, params) if timings else None
-        if hist is None:
-            unknown[gkey] = True
-        else:
-            expected[gkey] = expected.get(gkey, 0.0) + hist
-    return [groups[k] for k in sorted(
-        groups,
-        key=lambda k: (0 if unknown.get(k) else 1, -expected.get(k, 0.0), k))]
-
-
 def run_figures(names: list[str] | None = None, *, fast: bool = True,
                 smoke: bool = False, jobs: int | str = 1,
                 store: ResultStore | None = None,
-                trace: bool = False, fork: bool = True,
+                trace: bool = False,
                 fuse: bool = True, trace_jit: bool = True,
                 metrics: bool = True,
                 log=None) -> list[FigureRun]:
     """Run the requested sweeps, reusing cached points, fanning out misses.
 
     ``smoke`` keeps only the first point of every sweep (the CI target).
-    ``jobs`` > 1 (or ``"auto"``) runs uncached work in a process pool;
-    assembly order is always the sweep order, so parallel runs are
-    bit-identical to serial ones.  Work is dispatched as whole setup-key
-    groups so same-setup points land on one worker and — with ``fork``
-    on — reuse each other's built worlds through the setup cache;
-    ``fork=False`` keeps the grouping but builds every world fresh.
+    ``jobs`` > 1 (or ``"auto"``) runs uncached points in a process pool,
+    one task per point in sweep order; assembly order is always the
+    sweep order, so parallel runs are bit-identical to serial ones.
     ``trace`` runs every point under the structured tracer and attaches
     the per-phase span durations to its record; traced runs skip cache
     *reads* (a cached row carries no spans) but still refresh the store,
@@ -335,46 +262,27 @@ def run_figures(names: list[str] | None = None, *, fast: bool = True,
                 pending.append((name, i))
 
     plan_by_name = dict(plans)
-    timings = TimingStore(store.root) if store else None
-    group_tasks = _group_pending(pending, plan_by_name, registry, trace,
-                                 metrics, timings)
+    tasks = [(name, plan_by_name[name][i], trace, metrics, fuse, trace_jit)
+             for name, i in pending]
 
     if log and pending:
         log(f"bench: {sum(len(p) for _, p in plans)} points, "
-            f"{len(pending)} to run in {len(group_tasks)} setup group(s), "
-            f"jobs={jobs}"
-            + (", traced" if trace else "")
-            + ("" if fork else ", fork disabled"))
+            f"{len(pending)} to run, jobs={jobs}"
+            + (", traced" if trace else ""))
 
-    if group_tasks:
-        payload = [(g, fork, fuse, trace_jit) for g in group_tasks]
-        if jobs > 1 and len(group_tasks) > 1:
-            with multiprocessing.Pool(min(jobs, len(group_tasks))) as pool:
-                group_outs = pool.map(_exec_group, payload, chunksize=1)
-        else:
-            group_outs = [_exec_group(t) for t in payload]
-        # Flatten back to per-point results keyed by (figure, params):
-        # groups reorder across figures, never within one sweep.
-        out_by_task: dict[str, tuple] = {}
-        for group, outs in zip(group_tasks, group_outs):
-            for (name, params, _trace, _metrics), result in zip(group, outs):
-                out_by_task[canonical_json([name, params])] = result
-        for name, i in pending:
-            params = plan_by_name[name][i]
-            row, elapsed, sim, phases, msnap, shits, smisses = out_by_task[
-                canonical_json([name, params])]
-            key = store.key_for(name, params) if store else None
-            if store:
-                store.put(key, name, params, row, metrics=msnap)
-            if timings is not None:
-                timings.record(name, params, elapsed)
-            records[name][i] = PointRecord(params, row, False, key,
-                                           elapsed_s=elapsed, sim=sim,
-                                           phases=phases, setup_hits=shits,
-                                           setup_misses=smisses,
-                                           metrics=msnap)
-        if timings is not None:
-            timings.save()
+    if jobs > 1 and len(tasks) > 1:
+        with multiprocessing.Pool(min(jobs, len(tasks))) as pool:
+            outs = pool.map(_exec_point, tasks, chunksize=1)
+    else:
+        outs = [_exec_point(t) for t in tasks]
+    for (name, i), (row, elapsed, sim, phases, msnap) in zip(pending, outs):
+        params = plan_by_name[name][i]
+        key = store.key_for(name, params) if store else None
+        if store:
+            store.put(key, name, params, row, metrics=msnap)
+        records[name][i] = PointRecord(params, row, False, key,
+                                       elapsed_s=elapsed, sim=sim,
+                                       phases=phases, metrics=msnap)
 
     runs: list[FigureRun] = []
     for name, points in plans:
@@ -387,8 +295,6 @@ def run_figures(names: list[str] | None = None, *, fast: bool = True,
             wall_s=sum(r.elapsed_s for r in recs),
             cache_hits=sum(1 for r in recs if r.cached),
             cache_misses=sum(1 for r in recs if not r.cached),
-            setup_hits=sum(r.setup_hits for r in recs),
-            setup_misses=sum(r.setup_misses for r in recs),
         ))
     total_wall = time.perf_counter() - t_start
     for run in runs:
@@ -396,14 +302,13 @@ def run_figures(names: list[str] | None = None, *, fast: bool = True,
     if log:
         hits = sum(r.cache_hits for r in runs)
         misses = sum(r.cache_misses for r in runs)
-        forks = sum(r.setup_hits for r in runs)
         log(f"bench: done in {total_wall:.1f}s "
-            f"({hits} cached, {misses} run, {forks} world fork(s))")
+            f"({hits} cached, {misses} run)")
     return runs
 
 
 def build_meta(*, fast: bool, smoke: bool, jobs: int,
-               trace: bool = False, fork: bool = True,
+               trace: bool = False,
                fuse: bool = True, trace_jit: bool = True,
                metrics: bool = True) -> dict:
     """Host/run metadata shared by every figure payload of one run.
@@ -423,7 +328,6 @@ def build_meta(*, fast: bool, smoke: bool, jobs: int,
         "smoke": smoke,
         "jobs": jobs,
         "trace": trace,
-        "fork": fork,
         "fuse": fuse,
         "trace_jit": trace_jit,
         "metrics_enabled": metrics,
@@ -442,10 +346,6 @@ def write_runs(runs: list[FigureRun], out_dir: str | Path,
         run_meta["sweep_wall_s"] = round(run.sweep_wall_s, 6)
         run_meta["cache_hits"] = run.cache_hits
         run_meta["cache_misses"] = run.cache_misses
-        # World setup-cache activity: forked (warm) vs freshly built
-        # worlds while this figure's points executed.
-        run_meta["setup_cache"] = {"hits": run.setup_hits,
-                                   "misses": run.setup_misses}
         # Simulator throughput for the points actually executed (empty
         # when everything came from cache).  Lives in meta: it tracks
         # the simulator's own speed, not the simulated system's.
@@ -461,7 +361,7 @@ def write_runs(runs: list[FigureRun], out_dir: str | Path,
         # Lives in meta by the schema's rule of thumb — it is extra
         # diagnosis, not the measured series — but unlike the rest of
         # meta it IS deterministic (the determinism tests pin it across
-        # --jobs and fork settings).
+        # --jobs settings).
         msnap = run.metrics_snapshot
         if msnap is not None:
             run_meta["metrics"] = metrics_block(msnap)
@@ -495,12 +395,30 @@ class SeriesDiff:
     regression: bool
 
 
+#: Default ``bench diff`` noise thresholds, in percent, per mode.
+SERIES_THRESHOLD_PCT = 5.0
+WALL_CLOCK_THRESHOLD_PCT = 20.0
+
+
+def default_threshold_pct(*, wall_clock: bool = False,
+                          health: bool = False) -> float:
+    """The ``bench diff`` threshold a mode uses when none is given: 5%
+    for series diffs, 20% for the (noisier) wall-clock throughput
+    comparison, 10% for the health gate."""
+    if wall_clock:
+        return WALL_CLOCK_THRESHOLD_PCT
+    if health:
+        return DEFAULT_HEALTH_THRESHOLD_PCT
+    return SERIES_THRESHOLD_PCT
+
+
 def load_payload(path: str | Path) -> dict:
     return json.loads(Path(path).read_text())
 
 
 def diff_payloads(base: dict, new: dict,
-                  threshold_pct: float = 5.0) -> list[SeriesDiff]:
+                  threshold_pct: float = SERIES_THRESHOLD_PCT
+                  ) -> list[SeriesDiff]:
     """Direction-aware comparison of two BENCH payloads for one figure.
 
     Only series named in the baseline's ``directions`` map are judged
@@ -537,7 +455,7 @@ def diff_payloads(base: dict, new: dict,
 
 
 def wall_clock_diff_payloads(base: dict, new: dict,
-                             threshold_pct: float = 20.0
+                             threshold_pct: float = WALL_CLOCK_THRESHOLD_PCT
                              ) -> tuple[list[SeriesDiff], list[str]]:
     """Compare simulator *throughput* (not simulated results) of two runs.
 
@@ -577,15 +495,12 @@ def diff_paths(base: str | Path, new: str | Path,
     of simulated series (see :func:`wall_clock_diff_payloads`);
     ``health=True`` compares the derived health indicators of
     ``meta.metrics`` (see :mod:`repro.obs.slo`).  When ``threshold_pct``
-    is not given it defaults per mode: 5% for series diffs, 20% for the
-    (noisier) wall-clock throughput comparison, 10% for the health gate
-    — matching the three underlying diff functions.
+    is not given it defaults per mode (:func:`default_threshold_pct`).
     Returns (series diffs, notes about unmatched figures).
     """
     if threshold_pct is None:
-        threshold_pct = (20.0 if wall_clock
-                         else DEFAULT_HEALTH_THRESHOLD_PCT if health
-                         else 5.0)
+        threshold_pct = default_threshold_pct(wall_clock=wall_clock,
+                                              health=health)
     base, new = Path(base), Path(new)
     notes: list[str] = []
 

@@ -181,46 +181,3 @@ class ResultStore:
         tmp.write_text(json.dumps(entry, indent=1))
         os.replace(tmp, path)
 
-
-# ---------------------------------------------------------------------------
-# timing history (scheduling hints, not results)
-# ---------------------------------------------------------------------------
-
-def timing_key(figure: str, params: dict) -> str:
-    """History key for one point's expected duration: figure + params
-    only — deliberately *not* the code version, because a stale estimate
-    merely mis-sorts the run queue, it can never corrupt a result."""
-    doc = {"figure": figure, "params": params}
-    return hashlib.sha256(canonical_json(doc).encode()).hexdigest()[:16]
-
-
-class TimingStore:
-    """``<root>/timings.json``: per-point wall-clock history.
-
-    The orchestrator uses it to order setup-key groups longest-first
-    (LPT) so a slow group never starts last and stretches the run's
-    tail.  Best-effort by design: unreadable or missing history just
-    means unknown durations, and unknown points sort *first* — running
-    them early both bounds the schedule damage and fills in the history.
-    """
-
-    def __init__(self, root: str | os.PathLike) -> None:
-        self.path = Path(root) / "timings.json"
-        try:
-            data = json.loads(self.path.read_text())
-        except (OSError, ValueError):
-            data = {}
-        self._data: dict[str, float] = data if isinstance(data, dict) else {}
-
-    def get(self, figure: str, params: dict) -> float | None:
-        value = self._data.get(timing_key(figure, params))
-        return float(value) if isinstance(value, (int, float)) else None
-
-    def record(self, figure: str, params: dict, elapsed_s: float) -> None:
-        self._data[timing_key(figure, params)] = round(elapsed_s, 6)
-
-    def save(self) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(self._data, sort_keys=True, indent=1))
-        os.replace(tmp, self.path)

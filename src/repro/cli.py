@@ -247,17 +247,16 @@ def _cmd_bench_run(args) -> int:
         cache_dir = args.cache or f"{args.out}/.cache"
         store = ResultStore(cache_dir)
     fast = not args.full
-    fork = not args.no_fork
     fuse = not args.no_fuse
     trace_jit = not args.no_trace
     metrics = not args.no_metrics
     runs = run_figures(names, fast=fast, smoke=args.smoke, jobs=jobs,
-                       store=store, trace=args.trace, fork=fork, fuse=fuse,
+                       store=store, trace=args.trace, fuse=fuse,
                        trace_jit=trace_jit, metrics=metrics,
                        log=None if args.quiet else
                        (lambda m: print(m, file=sys.stderr)))
     meta = build_meta(fast=fast, smoke=args.smoke, jobs=jobs,
-                      trace=args.trace, fork=fork, fuse=fuse,
+                      trace=args.trace, fuse=fuse,
                       trace_jit=trace_jit, metrics=metrics)
     paths = write_runs(runs, args.out, meta)
     if not args.quiet:
@@ -269,9 +268,8 @@ def _cmd_bench_run(args) -> int:
 
 
 def _cmd_bench_diff(args) -> int:
-    from .bench.orchestrator import diff_paths
+    from .bench.orchestrator import default_threshold_pct, diff_paths
     from .bench.report import render_diff
-    from .obs.slo import DEFAULT_HEALTH_THRESHOLD_PCT
 
     if args.wall_clock and args.health:
         print("--wall-clock and --health are mutually exclusive",
@@ -279,9 +277,8 @@ def _cmd_bench_diff(args) -> int:
         return 2
     threshold = args.threshold
     if threshold is None:
-        threshold = (20.0 if args.wall_clock
-                     else DEFAULT_HEALTH_THRESHOLD_PCT if args.health
-                     else 5.0)
+        threshold = default_threshold_pct(wall_clock=args.wall_clock,
+                                          health=args.health)
     try:
         diffs, notes = diff_paths(args.base, args.new,
                                   threshold_pct=threshold,
@@ -428,10 +425,6 @@ def make_parser() -> argparse.ArgumentParser:
                    help="run every point under the structured tracer and "
                         "embed a phase_breakdown block in the result meta "
                         "(skips cache reads; rows are unchanged)")
-    b.add_argument("--no-fork", action="store_true",
-                   help="build every world fresh instead of forking warm "
-                        "setup-cache checkpoints (slower; rows are "
-                        "identical either way)")
     b.add_argument("--no-fuse", action="store_true",
                    help="disable the VM's basic-block fusion JIT "
                         "(slower; rows are identical either way)")

@@ -134,8 +134,10 @@ class FrameView:
 def unpack_header(blob: bytes | bytearray | memoryview, offset: int = 0
                   ) -> FrameView:
     """Decode the frame header at ``offset``.  Any malformed input —
-    including a buffer too short for the header, or for the GOT pointer
-    an injected frame carries — raises :class:`MailboxError`."""
+    including a buffer too short for the header, for the GOT pointer an
+    injected frame carries, or for the code, payload and signal byte the
+    header's section sizes claim — raises :class:`MailboxError`.  Pass
+    the frame's slot, so the sections are bounded by the slot."""
     avail = len(blob) - offset
     if offset < 0 or avail < HDR_SIZE:
         raise MailboxError(f"truncated frame header: {max(avail, 0)} of "
@@ -152,5 +154,10 @@ def unpack_header(blob: bytes | bytearray | memoryview, offset: int = 0
             raise MailboxError(f"truncated frame: {code_size} code bytes "
                                f"but no GOT pointer word")
         gotp = struct.unpack_from("<Q", blob, offset + HDR_SIZE)[0]
-    return FrameView(flags, pkg, elem, code_size, payload_size, seq,
+    view = FrameView(flags, pkg, elem, code_size, payload_size, seq,
                      (a0, a1), gotp)
+    if view.payload_off + payload_size + 1 > avail:  # +1: the SIG byte
+        raise MailboxError(f"frame sections overrun the buffer: "
+                           f"{code_size} code + {payload_size} payload "
+                           f"bytes do not fit {avail} bytes")
+    return view

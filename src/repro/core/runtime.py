@@ -89,8 +89,8 @@ class TwoChainsRuntime:
         set, the (mutable) RuntimeConfig fields, and the UCX worker and
         endpoint bookkeeping.  Namespace/loader mutations after the
         snapshot (``namespace.redefine`` + ``relink_package``) are NOT
-        captured — the setup cache never replays across such calls, and
-        the fork-vs-fresh determinism tests enforce that contract."""
+        captured: restore a world only to a checkpoint taken after its
+        last relink."""
         return {
             "packages": dict(self.packages),
             "cfg": dict(vars(self.cfg)),

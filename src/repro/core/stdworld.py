@@ -7,26 +7,14 @@ a :class:`~repro.rdma.fabric.Topology`) with one Two-Chains runtime per
 node and a named package loaded on every side.  The default topology is
 the paper's back-to-back pair (§VI-C); ``Topology.chain(k)`` and custom
 topologies build the N-node worlds docs/TOPOLOGY.md describes.
-
-Beyond plain construction (:func:`make_world`), this module is the home
-of the **setup cache** (:class:`SetupCache` / :func:`shared_world`): a
-world's build — AMC compile, ELF build, load, remote link — is identical
-for every sweep point that shares a construction key, so the first
-acquisition builds and checkpoints the world and later acquisitions
-rewind the same instance via :meth:`World.restore` instead of paying the
-build again (docs/ARCHITECTURE.md, "Performance engineering").
 """
 
 from __future__ import annotations
 
-import enum
-import json
-import time
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import dataclass
 
 from ..errors import TwoChainsError
 from ..machine.hierarchy import HierarchyConfig
-from ..obs.tracer import PID_SIM, TID_TOOL, TRACER as _T
 from ..rdma.fabric import Fabric, Topology
 from ..rdma.params import LinkParams, DEFAULT_LINK
 from ..ucp.worker import UcpConfig
@@ -36,11 +24,9 @@ from .runtime import TwoChainsRuntime
 from .stdjams import build_std_package
 from .toolchain import PackageBuild
 
-#: Named package builders: worlds constructed from a *named* package are
-#: reproducible from their setup key alone (unlike ad-hoc ``build=``
-#: packages), so they participate in the setup cache.  Workload modules
-#: register their packages here on import (e.g. ``repro.workloads.chainkv``
-#: registers ``"chainkv"``).
+#: Named package builders for :func:`make_world`'s ``package`` argument.
+#: Workload modules register their packages here on import (e.g.
+#: ``repro.workloads.chainkv`` registers ``"chainkv"``).
 PACKAGE_BUILDERS = {"std": build_std_package}
 
 
@@ -112,7 +98,7 @@ class World:
                 out[name] = out.get(name, 0) + int(value)
         return out
 
-    # -- checkpoint / fork -------------------------------------------------
+    # -- checkpoint / restore ----------------------------------------------
 
     def snapshot(self) -> WorldCheckpoint:
         """Checkpoint every mutable subsystem of this world.
@@ -139,7 +125,7 @@ class World:
         state, DRAM ledger, RNG streams, rkey sequence, scoreboard
         counters, simulated clock — matches the snapshot instant
         exactly, so a restored world measures byte-identically to a
-        freshly built one (enforced by the fork determinism tests).
+        freshly built one (enforced by the restore determinism tests).
         """
         bed = self.bed
         bed.engine.restore(cp.engine)
@@ -171,7 +157,7 @@ def make_world(hier_cfg: HierarchyConfig | None = None,
     ``client_cfg`` configures node 0 (the initiator by convention),
     ``server_cfg`` every other node.  ``package`` names a registered
     builder in :data:`PACKAGE_BUILDERS`; an explicit ``build`` overrides
-    it (and makes the world uncacheable — see :func:`world_setup_key`).
+    it.
     """
     bed = Fabric.create(hier_cfg=hier_cfg, link=link, seed=seed,
                         topology=topology)
@@ -202,138 +188,3 @@ def make_world(hier_cfg: HierarchyConfig | None = None,
         rt.load_package(pkg_build)
     return World(bed=bed, runtimes=runtimes, build=pkg_build)
 
-
-# ---------------------------------------------------------------------------
-# setup cache: fork warm worlds instead of rebuilding them per sweep point
-# ---------------------------------------------------------------------------
-
-def _jsonable(obj):
-    if isinstance(obj, enum.Enum):
-        return obj.value
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
-def world_setup_key(hier_cfg: HierarchyConfig | None = None,
-                    client_cfg: RuntimeConfig | None = None,
-                    server_cfg: RuntimeConfig | None = None,
-                    link: LinkParams = DEFAULT_LINK,
-                    ucp_cfg: UcpConfig | None = None,
-                    build: PackageBuild | None = None,
-                    seed: int | None = None,
-                    topology: Topology | None = None,
-                    package: str = "std") -> str | None:
-    """Canonical JSON key over everything :func:`make_world` consumes.
-
-    Two calls with equal keys build byte-identical worlds, so their
-    setups are interchangeable.  Returns None (uncacheable) for a custom
-    ``build``: ad-hoc packages have no serializable identity.
-    """
-    if build is not None:
-        return None
-    doc = {
-        "hier": _jsonable(asdict(hier_cfg)) if is_dataclass(hier_cfg) else None,
-        "client": _jsonable(asdict(client_cfg)) if is_dataclass(client_cfg)
-        else None,
-        "server": _jsonable(asdict(server_cfg)) if is_dataclass(server_cfg)
-        else None,
-        "link": _jsonable(asdict(link)),
-        "ucp": _jsonable(asdict(ucp_cfg)) if is_dataclass(ucp_cfg) else None,
-        "seed": seed,
-        "topology": topology.canonical() if topology is not None else None,
-        "package": package,
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-class SetupCache:
-    """Per-process pool of checkpointed worlds, keyed by construction args.
-
-    Disabled by default: ``make_world`` callers outside the benchmark
-    orchestrator always get a fresh world.  When enabled (pool workers of
-    ``twochains bench run``, unless ``--no-fork``), :func:`shared_world`
-    hands out pooled instances: the first acquisition under a key builds
-    the world and checkpoints it; later acquisitions rewind that same
-    instance via :meth:`World.restore` and skip the whole build+link
-    prefix.  A sweep point may acquire several worlds (comparison points
-    build two); :meth:`begin_point` resets the per-key cursors so every
-    point sees the same instance sequence — point N's k-th world under a
-    key is always pool slot k, freshly rewound.
-    """
-
-    def __init__(self) -> None:
-        self.enabled = False
-        self._pools: dict[str, list[tuple[World, WorldCheckpoint]]] = {}
-        self._cursor: dict[str, int] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def clear(self) -> None:
-        self._pools.clear()
-        self._cursor.clear()
-        self.hits = 0
-        self.misses = 0
-
-    def begin_point(self) -> None:
-        """Reset acquisition cursors; call at every sweep-point boundary."""
-        self._cursor.clear()
-
-    def counts(self) -> tuple[int, int]:
-        return self.hits, self.misses
-
-    def acquire(self, key: str, **kwargs) -> World:
-        pool = self._pools.setdefault(key, [])
-        idx = self._cursor.get(key, 0)
-        self._cursor[key] = idx + 1
-        if idx < len(pool):
-            world, cp = pool[idx]
-            t0 = time.perf_counter()
-            world.restore(cp)
-            if _T.enabled:
-                # Host-side cost of the fork, made visible on the trace
-                # timeline (sim clock just rewound to cp time).
-                wall_ns = (time.perf_counter() - t0) * 1e9
-                now = world.engine.now
-                _T.span(PID_SIM, TID_TOOL, "world.fork", now, now + wall_ns,
-                        {"pool_slot": idx, "restore_wall_ns": round(wall_ns)})
-            self.hits += 1
-            return world
-        world = make_world(**kwargs)
-        pool.append((world, world.snapshot()))
-        self.misses += 1
-        return world
-
-
-#: Process-wide setup cache; the bench orchestrator's pool workers enable
-#: it around each task group and clear it afterwards.
-SETUP_CACHE = SetupCache()
-
-
-def shared_world(hier_cfg: HierarchyConfig | None = None,
-                 client_cfg: RuntimeConfig | None = None,
-                 server_cfg: RuntimeConfig | None = None,
-                 link: LinkParams = DEFAULT_LINK,
-                 ucp_cfg: UcpConfig | None = None,
-                 build: PackageBuild | None = None,
-                 seed: int | None = None,
-                 topology: Topology | None = None,
-                 package: str = "std") -> World:
-    """Drop-in for :func:`make_world` that goes through the setup cache.
-
-    With the cache disabled (the default) or an uncacheable request this
-    IS ``make_world``; enabled, equal-keyed acquisitions after the first
-    rewind a pooled world instead of rebuilding it.
-    """
-    kwargs = dict(hier_cfg=hier_cfg, client_cfg=client_cfg,
-                  server_cfg=server_cfg, link=link, ucp_cfg=ucp_cfg,
-                  build=build, seed=seed, topology=topology,
-                  package=package)
-    if not SETUP_CACHE.enabled:
-        return make_world(**kwargs)
-    key = world_setup_key(**kwargs)
-    if key is None:
-        return make_world(**kwargs)
-    return SETUP_CACHE.acquire(key, **kwargs)

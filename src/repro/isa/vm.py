@@ -2189,7 +2189,7 @@ class Vm:
         if m_on:
             # Per-tier split: the trace (and therefore fused/interp)
             # share depends on host-side profile counters that survive
-            # World.restore, so only the total is fork-stable.
+            # World.restore, so only the total is restore-stable.
             nid = node.node_id
             fd = _C.fused_instructions - m_fused0
             td = _C.trace_instructions - m_trace0

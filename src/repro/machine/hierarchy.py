@@ -109,7 +109,7 @@ class MemoryHierarchy:
         Call sites gate on ``registry.enabled`` and invoke this at low
         frequency (per dispatched frame / completed send), never per
         access — the L1-hit fast path stays untouched.  Counts are part
-        of the world snapshot, so the gauges are fork-deterministic.
+        of the world snapshot, so the gauges are restore-stable.
         """
         nid = self.node_id
         for level, caches in (("l1i", self.l1i), ("l1d", self.l1d),

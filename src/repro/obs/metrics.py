@@ -31,12 +31,12 @@ Stability
 ---------
 
 Most metrics are *stable*: bit-identical across ``--jobs`` settings and
-fork vs ``--no-fork`` world reuse, and therefore safe to embed in
-``BENCH_<figure>.json`` ``meta.metrics`` (which the determinism tests
-require to be byte-identical).  A few are *unstable* — the per-tier VM
-instruction split depends on host-side trace-JIT profile counters that
-survive :meth:`World.restore`, so a pooled (forked) world can engage the
-trace tier earlier than a fresh one.  Unstable metrics are emitted with
+between a restored and a freshly built world (restore-stable), and
+therefore safe to embed in ``BENCH_<figure>.json`` ``meta.metrics``
+(which the determinism tests require to be byte-identical).  A few are
+*unstable* — the per-tier VM instruction split depends on host-side
+trace-JIT profile counters that survive :meth:`World.restore`, so a
+restored world can engage the trace tier earlier than a fresh one.  Unstable metrics are emitted with
 ``stable=False``; they still appear in Perfetto counter tracks and the
 Prometheus dump, but :meth:`MetricsRegistry.snapshot` excludes them when
 ``stable_only=True`` (the default for benchmark meta).

@@ -15,7 +15,7 @@ two-node topology reproduces the original back-to-back testbed exactly
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from ..errors import RdmaError
@@ -37,9 +37,7 @@ class Topology:
     ``links`` overrides the link model per *directed* pair
     ``(src, dst)``; unlisted pairs use ``default_link``.  ``roles`` maps
     stable names ("client", "head", "tail", …) to node ids so workloads
-    never hard-code peer indices.  Topologies are value objects: they
-    serialize canonically (:meth:`canonical`) and therefore participate
-    in the world setup-cache key (see ``core.stdworld.world_setup_key``).
+    never hard-code peer indices.  Topologies are frozen value objects.
     """
 
     nodes: int = 2
@@ -82,18 +80,6 @@ class Topology:
         """Every unordered pair, in canonical (i < j) order."""
         return [(i, j) for i in range(self.nodes)
                 for j in range(i + 1, self.nodes)]
-
-    # -- canonical serialization (setup-cache keys) ------------------------
-
-    def canonical(self) -> dict:
-        return {
-            "nodes": self.nodes,
-            "roles": {k: self.roles[k] for k in sorted(self.roles)},
-            "links": [[s, d, asdict(self.links[(s, d)])]
-                      for s, d in sorted(self.links)],
-            "default_link": asdict(self.default_link),
-            "mem_size": self.mem_size,
-        }
 
     # -- constructors ------------------------------------------------------
 

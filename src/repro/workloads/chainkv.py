@@ -29,9 +29,8 @@ replicas with roles ``head`` (node 1) and ``tail`` (node k).
   (the GOT patch) and the store keeps operating as a (k-1)-chain.
 
 Importing this module registers the ``"chainkv"`` package with
-:mod:`repro.core.stdworld`'s named-builder registry, so chain worlds
-stay setup-cacheable (``make_world(topology=chain_topology(k),
-package="chainkv")``).
+:mod:`repro.core.stdworld`'s named-builder registry, so a chain world
+is ``make_world(topology=chain_topology(k), package="chainkv")``.
 """
 
 from __future__ import annotations

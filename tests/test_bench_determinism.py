@@ -19,10 +19,11 @@ from repro.bench.orchestrator import build_meta, run_figures, write_runs
 FIGURES = ["abl_got", "fig5"]
 
 
-def _canonical_payloads(out_dir, jobs):
-    """Run FIGURES uncached and return {figure: payload-sans-meta} dumps."""
-    runs = run_figures(FIGURES, smoke=True, jobs=jobs, store=None)
-    paths = write_runs(runs, out_dir, build_meta(fast=True, smoke=True,
+def _canonical_payloads(out_dir, jobs, figures=FIGURES, smoke=True):
+    """Run ``figures`` uncached and return {figure: payload-sans-meta}
+    dumps."""
+    runs = run_figures(figures, smoke=smoke, jobs=jobs, store=None)
+    paths = write_runs(runs, out_dir, build_meta(fast=True, smoke=smoke,
                                                  jobs=jobs))
     out = {}
     for path in paths:
@@ -42,4 +43,15 @@ def test_parallel_runs_are_byte_identical(tmp_path):
 def test_parallel_equals_serial(tmp_path):
     parallel = _canonical_payloads(tmp_path / "par", jobs=4)
     serial = _canonical_payloads(tmp_path / "ser", jobs=1)
+    assert parallel == serial
+
+
+def test_sweep_spread_over_workers_equals_serial(tmp_path):
+    """One multi-point sweep whose points run on two workers assembles
+    exactly like the serial run."""
+    parallel = _canonical_payloads(tmp_path / "par", jobs=2,
+                                   figures=["fig7"], smoke=False)
+    serial = _canonical_payloads(tmp_path / "ser", jobs=1,
+                                 figures=["fig7"], smoke=False)
+    assert len(json.loads(serial["fig7"])["x"]) >= 4
     assert parallel == serial

@@ -173,9 +173,9 @@ TOP_LEVEL_KEYS = {
 
 META_KEYS = {
     "generated_at", "host", "platform", "python", "git_sha",
-    "code_version", "seed", "fast", "smoke", "jobs", "trace", "fork", "fuse",
+    "code_version", "seed", "fast", "smoke", "jobs", "trace", "fuse",
     "trace_jit", "metrics_enabled", "wall_clock_s",
-    "sweep_wall_s", "cache_hits", "cache_misses", "setup_cache",
+    "sweep_wall_s", "cache_hits", "cache_misses",
     "sim_throughput", "metrics",
 }
 
@@ -393,36 +393,11 @@ def test_wall_s_and_sweep_wall_s_are_distinct(tmp_path):
     assert cached.sweep_wall_s > 0.0
 
 
-def test_meta_records_setup_cache_and_sweep_wall(tmp_path):
-    runs = run_figures(["fig7"], smoke=True, jobs=1, fork=True)
+def test_meta_records_sweep_wall(tmp_path):
+    runs = run_figures(["fig7"], smoke=True, jobs=1)
     paths = write_runs(runs, tmp_path,
-                       build_meta(fast=True, smoke=True, jobs=1, fork=True))
+                       build_meta(fast=True, smoke=True, jobs=1))
     meta = json.loads(paths[0].read_text())["meta"]
-    assert meta["fork"] is True
     assert meta["trace"] is False
     assert meta["sweep_wall_s"] == pytest.approx(runs[0].sweep_wall_s,
                                                 abs=1e-6)
-    sc = meta["setup_cache"]
-    assert set(sc) == {"hits", "misses"}
-    # fig7's single smoke point builds both of its worlds: misses only
-    assert sc["misses"] >= 1 and sc["hits"] == 0
-
-
-def test_no_fork_produces_identical_rows():
-    forked = run_figures(["fig7"], smoke=True, jobs=1, fork=True)[0]
-    fresh = run_figures(["fig7"], smoke=True, jobs=1, fork=False)[0]
-    assert [p.row for p in forked.points] == [p.row for p in fresh.points]
-    assert fresh.setup_hits == 0 and fresh.setup_misses == 0
-
-
-def test_timing_store_roundtrip(tmp_path):
-    from repro.bench.resultstore import TimingStore, timing_key
-
-    ts = TimingStore(tmp_path)
-    assert ts.get("figX", {"a": 1}) is None
-    ts.record("figX", {"a": 1}, 1.25)
-    ts.save()
-    # a fresh store sees the persisted history (LPT ordering input)
-    again = TimingStore(tmp_path)
-    assert again.get("figX", {"a": 1}) == pytest.approx(1.25)
-    assert timing_key("figX", {"a": 1}) != timing_key("figX", {"a": 2})

@@ -1,5 +1,7 @@
 """Frame format and GOT-rewrite unit tests."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -71,14 +73,56 @@ class TestFrameFormat:
             unpack_header(blob[:HDR_SIZE - 1])
         with pytest.raises(MailboxError, match="truncated"):
             unpack_header(blob, len(blob) - HDR_SIZE + 1)
-        assert unpack_header(blob[:HDR_SIZE]).payload_size == 1
+        # The header alone is no frame: its payload and SIG byte are cut.
+        with pytest.raises(MailboxError, match="overrun"):
+            unpack_header(blob[:HDR_SIZE])
 
     def test_injected_header_without_got_pointer_rejected(self):
         blob = pack_frame(Frame(1, 0, flags=F_INJECTED, seq=1,
                                 code=b"\0" * 8), 64)
         with pytest.raises(MailboxError, match="GOT pointer"):
             unpack_header(blob[:HDR_SIZE + GOTP_SIZE - 1])
-        assert unpack_header(blob[:HDR_SIZE + GOTP_SIZE]).code_size == 8
+        with pytest.raises(MailboxError, match="overrun"):
+            unpack_header(blob[:HDR_SIZE + GOTP_SIZE])
+
+    # Header byte offsets of the two section sizes (u32 each).
+    CODE_SIZE_AT, PAYLOAD_SIZE_AT = 16, 20
+
+    def _patched(self, at: int, value: int) -> bytearray:
+        blob = bytearray(pack_frame(Frame(1, 0, flags=F_INJECTED, seq=1,
+                                          code=b"\0" * 8), 64))
+        struct.pack_into("<I", blob, at, value)
+        return blob
+
+    def test_patched_code_size_overrunning_slot_rejected(self):
+        blob = self._patched(self.CODE_SIZE_AT, 0xFFFFFFF0)
+        with pytest.raises(MailboxError, match="overrun"):
+            unpack_header(blob)
+        # The largest code section that leaves room for the SIG byte
+        # decodes; one byte more does not.
+        fits = len(blob) - HDR_SIZE - GOTP_SIZE - 1
+        assert unpack_header(self._patched(self.CODE_SIZE_AT, fits)) \
+            .code_size == fits
+        with pytest.raises(MailboxError, match="overrun"):
+            unpack_header(self._patched(self.CODE_SIZE_AT, fits + 1))
+
+    def test_patched_payload_size_overrunning_slot_rejected(self):
+        blob = self._patched(self.PAYLOAD_SIZE_AT, 0xFFFFFFFF)
+        with pytest.raises(MailboxError, match="overrun"):
+            unpack_header(blob)
+        fits = len(blob) - HDR_SIZE - GOTP_SIZE - 8 - 1
+        assert unpack_header(self._patched(self.PAYLOAD_SIZE_AT, fits)) \
+            .payload_size == fits
+        with pytest.raises(MailboxError, match="overrun"):
+            unpack_header(self._patched(self.PAYLOAD_SIZE_AT, fits + 1))
+
+    def test_sections_bounded_by_buffer_after_offset(self):
+        frame = pack_frame(Frame(1, 0, flags=F_INJECTED, seq=1,
+                                 code=b"\0" * 8), 64)
+        need = HDR_SIZE + GOTP_SIZE + 8 + 1  # header, GOTP, code, SIG
+        assert unpack_header(bytes(8) + frame[:need], 8).code_size == 8
+        with pytest.raises(MailboxError, match="overrun"):
+            unpack_header(bytes(8) + frame[:need - 1], 8)
 
     @settings(max_examples=300, deadline=None)
     @given(blob=st.one_of(
@@ -98,7 +142,7 @@ class TestFrameFormat:
         except MailboxError:
             return
         assert isinstance(view, FrameView)
-        assert HDR_SIZE + (GOTP_SIZE if view.code_size else 0) \
+        assert view.payload_off + view.payload_size + 1 \
             <= len(blob) - offset
 
     @settings(max_examples=50, deadline=None)

@@ -15,7 +15,6 @@ import json
 import pytest
 
 from repro.bench.figures import full_registry
-from repro.core.stdworld import SETUP_CACHE
 from repro.errors import VmFault
 from repro.isa import Vm, assemble
 from repro.isa import vm as vmmod
@@ -27,12 +26,8 @@ from tests.util import fresh_node, native_got, raw_load
 def _fusion_restored():
     """Tests toggle the process-wide fusion flag; always restore it."""
     prev = vmmod.fusion_enabled()
-    SETUP_CACHE.enabled = False
-    SETUP_CACHE.clear()
     yield
     vmmod.set_fusion(prev)
-    SETUP_CACHE.enabled = False
-    SETUP_CACHE.clear()
 
 
 def run(source, args=(), node=None, entry="f", max_steps=4_000_000):

@@ -17,7 +17,6 @@ import json
 import pytest
 
 from repro.bench.figures import full_registry
-from repro.core.stdworld import SETUP_CACHE
 from repro.errors import VmFault
 from repro.isa import Vm, assemble
 from repro.isa import vm as vmmod
@@ -30,13 +29,9 @@ def _tiers_restored():
     """Tests toggle the process-wide JIT flags; always restore them."""
     prev_fuse = vmmod.fusion_enabled()
     prev_trace = vmmod.trace_jit_enabled()
-    SETUP_CACHE.enabled = False
-    SETUP_CACHE.clear()
     yield
     vmmod.set_fusion(prev_fuse)
     vmmod.set_trace_jit(prev_trace)
-    SETUP_CACHE.enabled = False
-    SETUP_CACHE.clear()
 
 
 def run(source, args=(), node=None, entry="f", max_steps=4_000_000):

@@ -326,23 +326,21 @@ class TestCounterTracks:
 FIGURE = "fig7"
 
 
-def _figure_metrics(jobs, fork):
-    (run,) = run_figures([FIGURE], smoke=True, jobs=jobs, store=None,
-                         fork=fork)
+def _figure_metrics(jobs):
+    (run,) = run_figures([FIGURE], jobs=jobs, store=None)
     snap = run.metrics_snapshot
     assert snap is not None
     return metrics_block(snap)
 
 
 class TestMetaMetricsDeterminism:
-    """Satellite contract: ``meta.metrics`` is identical across ``--jobs``
-    settings and fork vs ``--no-fork`` world reuse."""
+    """``meta.metrics`` is identical across ``--jobs`` settings, also
+    when one sweep's points are spread over several workers."""
 
-    def test_jobs_and_fork_invariance(self):
-        baseline = _figure_metrics(jobs=1, fork=True)
+    def test_jobs_invariance(self):
+        baseline = _figure_metrics(jobs=1)
         assert baseline["counters"] and baseline["histograms"]
-        assert _figure_metrics(jobs=2, fork=True) == baseline
-        assert _figure_metrics(jobs=1, fork=False) == baseline
+        assert _figure_metrics(jobs=2) == baseline
 
     def test_no_metrics_run_has_no_snapshot(self):
         (run,) = run_figures([FIGURE], smoke=True, jobs=1, store=None,

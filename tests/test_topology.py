@@ -5,11 +5,9 @@ construction/routing, and N-node world construction through stdworld
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.core.stdworld import make_world, world_setup_key
+from repro.core.stdworld import make_world
 from repro.errors import RdmaError, TwoChainsError
 from repro.rdma.fabric import Fabric, Testbed, Topology
 from repro.rdma.params import DEFAULT_LINK, LinkParams
@@ -76,16 +74,6 @@ class TestTopology:
     def test_pairs_are_canonical(self):
         assert Topology(nodes=3).pairs() == [(0, 1), (0, 2), (1, 2)]
 
-    def test_canonical_is_json_stable(self):
-        slow = LinkParams(wire_prop_ns=500.0)
-        a = Topology(nodes=3, roles={"b": 1, "a": 0}, links={(1, 2): slow})
-        b = Topology(nodes=3, roles={"a": 0, "b": 1}, links={(1, 2): slow})
-        assert json.dumps(a.canonical(), sort_keys=True) == \
-            json.dumps(b.canonical(), sort_keys=True)
-        doc = a.canonical()
-        assert doc["nodes"] == 3
-        assert doc["links"] == [[1, 2, {**doc["links"][0][2]}]]
-
 
 # ---------------------------------------------------------------------------
 # Fabric: N nodes, full QP mesh, per-pair links
@@ -147,17 +135,6 @@ class TestNNodeWorld:
     def test_unknown_package_raises_with_registry(self):
         with pytest.raises(TwoChainsError, match="chainkv"):
             make_world(package="not-a-package")
-
-    def test_setup_key_varies_with_topology_and_package(self):
-        base = world_setup_key()
-        chain = world_setup_key(topology=chain_topology(2),
-                                package="chainkv")
-        chain3 = world_setup_key(topology=chain_topology(3),
-                                 package="chainkv")
-        assert len({base, chain, chain3}) == 3
-        # equal-valued topologies key identically (value-object contract)
-        assert world_setup_key(topology=chain_topology(2),
-                               package="chainkv") == chain
 
     def test_default_world_unchanged(self):
         """The default world is still the paper's two-node testbed with

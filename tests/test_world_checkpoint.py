@@ -1,34 +1,22 @@
-"""Tests for world checkpoint/fork: snapshot round-trips, quiescence
-enforcement, the setup cache, and the fork determinism contract — a
-rewound world must measure **byte-identically** to a freshly built one
-for every registered benchmark spec.
+"""Tests for world checkpoints: snapshot round-trips, quiescence
+enforcement, and the restore determinism contract — a world rewound to
+the checkpoint taken right after its build must measure
+**byte-identically** to a freshly built one, for every world flavour
+the benchmark specs and perfbench build.
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.bench.figures import full_registry
-from repro.core.stdworld import (
-    SETUP_CACHE,
-    make_world,
-    shared_world,
-    world_setup_key,
-)
+from repro.bench.shapes import am_injection_rate, am_pingpong
+from repro.core.config import RuntimeConfig, WaitMode
+from repro.core.stdworld import make_world
 from repro.errors import SimulationError
+from repro.machine.hierarchy import HierarchyConfig
 from repro.machine.memory import PhysicalMemory
-
-
-@pytest.fixture(autouse=True)
-def _isolated_setup_cache():
-    """Every test starts and ends with a disabled, empty setup cache."""
-    SETUP_CACHE.enabled = False
-    SETUP_CACHE.clear()
-    yield
-    SETUP_CACHE.enabled = False
-    SETUP_CACHE.clear()
+from repro.perf import COUNTERS
+from repro.workloads.chainkv import chain_point, chain_topology
 
 
 # ---------------------------------------------------------------------------
@@ -82,64 +70,67 @@ def test_snapshot_rejects_non_quiescent_engine():
 
 
 # ---------------------------------------------------------------------------
-# setup keys and the cache protocol
+# restore determinism: restored == fresh, in full, for every world flavour
 # ---------------------------------------------------------------------------
 
-def test_world_setup_key_is_canonical_and_none_for_custom_builds():
-    assert world_setup_key() == world_setup_key()
-    assert world_setup_key(seed=1) != world_setup_key(seed=2)
-    from repro.core.stdjams import build_std_package
-
-    assert world_setup_key(build=build_std_package()) is None
+def _pair_shape(w):
+    return (am_pingpong(w, "jam_indirect_put", 64, warmup=2, iters=8),
+            am_injection_rate(w, "jam_indirect_put", 64, messages=64))
 
 
-def test_shared_world_is_make_world_when_disabled():
-    assert not SETUP_CACHE.enabled
-    w1 = shared_world()
-    w2 = shared_world()
-    assert w1 is not w2
-    assert SETUP_CACHE.counts() == (0, 0)
+def _stress_shape(w):
+    return am_pingpong(w, "jam_ss_sum", 64, warmup=4, iters=40, stress=True)
 
 
-def test_setup_cache_forks_same_instance_per_slot():
-    SETUP_CACHE.enabled = True
-    SETUP_CACHE.begin_point()
-    a1 = shared_world()
-    a2 = shared_world()  # second acquisition in the same point: slot 1
-    assert a1 is not a2
-    SETUP_CACHE.begin_point()
-    b1 = shared_world()
-    b2 = shared_world()
-    # point N's k-th world under a key is always pool slot k, rewound
-    assert b1 is a1 and b2 is a2
-    assert SETUP_CACHE.counts() == (2, 2)
+def _wfe_shape(w):
+    return am_pingpong(w, "jam_indirect_put", 64, warmup=2, iters=8)
 
 
-# ---------------------------------------------------------------------------
-# fork determinism: forked == fresh, byte for byte, for every spec
-# ---------------------------------------------------------------------------
-
-def _row(spec, params):
-    SETUP_CACHE.begin_point()
-    return json.dumps(spec.point(**params), sort_keys=True)
+def _loop_shape(w):
+    return am_pingpong(w, "jam_ss_sum_naive", 1024, warmup=6, iters=16)
 
 
-@pytest.mark.parametrize("name", sorted(full_registry()))
-def test_forked_world_rows_match_fresh(name):
-    spec = full_registry()[name]
-    params = spec.points(True)[0]  # smoke point
+def _chain_shape(w):
+    return chain_point(w, value_bytes=64, warmup=2, iters=6, stream_count=8,
+                       mcast_iters=2)
 
-    fresh = _row(spec, params)
 
-    SETUP_CACHE.enabled = True
-    SETUP_CACHE.clear()
-    first = _row(spec, params)   # builds + checkpoints the pool worlds
-    forked = _row(spec, params)  # rewinds the same instances
-    hits, misses = SETUP_CACHE.counts()
+_WFE = RuntimeConfig(wait_mode=WaitMode.WFE)
+
+FLAVOURS = {
+    "pair": (dict(), _pair_shape),
+    "stash_stress": (dict(hier_cfg=HierarchyConfig(stash_enabled=True)),
+                     _stress_shape),
+    "nonstash_stress": (dict(hier_cfg=HierarchyConfig(stash_enabled=False)),
+                        _stress_shape),
+    "wfe_client": (dict(client_cfg=_WFE, server_cfg=_WFE), _wfe_shape),
+    "guest_loop": (dict(), _loop_shape),
+    "chain3": (dict(topology=chain_topology(3), package="chainkv"),
+               _chain_shape),
+}
+
+
+def _measure(world, shape):
+    """The shape's full outcome plus every Scoreboard counter."""
+    return shape(world), world.board_counters()
+
+
+@pytest.mark.parametrize("flavour", sorted(FLAVOURS))
+def test_restored_world_measures_like_fresh(flavour):
+    kwargs, shape = FLAVOURS[flavour]
+    fresh = _measure(make_world(**kwargs), shape)
+
+    world = make_world(**kwargs)
+    cp = world.snapshot()
+    first = _measure(world, shape)
+    world.restore(cp)
+    before = COUNTERS.snapshot()
+    again = _measure(world, shape)
+    traced = COUNTERS.delta(before)["trace_instructions"]
 
     assert first == fresh
-    assert forked == fresh
-    # Specs that build worlds (all but the purely structural ablations)
-    # must have forked every world on the second run.
-    if misses:
-        assert hits == misses
+    assert again == fresh
+    if flavour == "guest_loop":
+        # The trace tier engaged on the restored world, whose branch
+        # profiles survived the restore, and still changed nothing.
+        assert traced > 0
